@@ -1,9 +1,12 @@
 """Exact arithmetic in cyclotomic number fields Q(zeta_M).
 
 A scalar is a vector of rationals in the power basis 1, z, ..., z^(phi(M)-1),
-fully reduced modulo the M-th cyclotomic polynomial, so equality is
-coefficient-wise.  All arithmetic stays inside one ambient conductor M;
-mixing conductors raises MismatchError.
+fully reduced modulo the M-th cyclotomic polynomial.  It is stored as a tuple
+of int numerators over one positive int denominator, with the gcd of all of
+them equal to 1, so the form is canonical and equality is coefficient-wise.
+The cyclotomic polynomial is monic with integer coefficients, so products
+reduce with integer arithmetic only.  All arithmetic stays inside one ambient
+conductor M; mixing conductors raises MismatchError.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import MismatchError
 
@@ -75,25 +80,26 @@ class CyclotomicField:
             raise ValueError(f"conductor must be a positive integer, got {conductor}")
         self.conductor = conductor
         self.minpoly = cyclotomic_polynomial(conductor)
-        self.degree = len(self.minpoly) - 1  # phi(conductor)
-        # x^k mod minpoly for 0 <= k <= 2*degree - 2, used to fold products
-        powers = {}
-        cur = [_ZERO] * self.degree
-        cur[0] = _ONE
-        for k in range(2 * self.degree - 1):
-            powers[k] = tuple(cur)
+        self.degree = d = len(self.minpoly) - 1  # phi(conductor)
+        self._poly = tuple(int(c) for c in self.minpoly)  # monic, integral
+        # nonzero (i, c) of x^k mod minpoly for d <= k <= 2*d - 2, to fold products
+        fold = []
+        cur = [0] * (d - 1) + [1]
+        for _ in range(d - 1):
             cur = self._shift_reduce(cur)
-        self._fold = powers
-        self.zero = CyclotomicNumber(self, (_ZERO,) * self.degree)
-        self.one = CyclotomicNumber(self, ((_ONE,) + (_ZERO,) * (self.degree - 1)))
+            fold.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        self._fold = tuple(fold)
+        self._tail = (0,) * (d - 1)
+        self.zero = CyclotomicNumber(self, (0,) * d, 1)
+        self.one = CyclotomicNumber(self, (1,) + self._tail, 1)
 
     def _shift_reduce(self, coeffs):
         # multiply by x, reduce the overflowing top coefficient
         top = coeffs[-1]
-        out = [_ZERO] + list(coeffs[:-1])
+        out = [0] + list(coeffs[:-1])
         if top:
             for i in range(self.degree):
-                out[i] -= top * self.minpoly[i]
+                out[i] -= top * self._poly[i]
         return out
 
     def __repr__(self):
@@ -109,32 +115,36 @@ class CyclotomicField:
 
     def scalar(self, value) -> "CyclotomicNumber":
         if isinstance(value, CyclotomicNumber):
-            if value.field != self:
+            if value.field.conductor != self.conductor:
                 raise MismatchError(
                     f"conductor mismatch: {value.field.conductor} vs {self.conductor}"
                 )
             return value
+        if type(value) is int:
+            return CyclotomicNumber(self, (value,) + self._tail, 1)
         q = Fraction(value)
-        return CyclotomicNumber(self, (q,) + (_ZERO,) * (self.degree - 1))
+        return CyclotomicNumber(self, (q.numerator,) + self._tail, q.denominator)
 
     def from_coeffs(self, coeffs) -> "CyclotomicNumber":
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(coeffs)}")
-        return CyclotomicNumber(self, tuple(coeffs))
+        return self._from_fractions(coeffs)
+
+    def _from_fractions(self, coeffs) -> "CyclotomicNumber":
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coeffs))
+        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        return CyclotomicNumber(self, num, den)
 
     def zeta(self, power: int = 1) -> "CyclotomicNumber":
         """zeta_M^power in canonical form."""
         power %= self.conductor
-        coeffs = [_ZERO] * self.degree
-        if self.conductor == 1:
-            coeffs[0] = _ONE
-            return CyclotomicNumber(self, tuple(coeffs))
-        coeffs[0] = _ONE
-        cur = coeffs
-        for _ in range(power):
-            cur = self._shift_reduce(cur)
-        return CyclotomicNumber(self, tuple(cur))
+        cur = list(self.one.num)
+        if self.conductor > 1:
+            for _ in range(power):
+                cur = self._shift_reduce(cur)
+        return CyclotomicNumber(self, tuple(cur), 1)
 
     def root_of_unity(self, order: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_order^power, embedded via zeta_order = zeta_M^(M/order)."""
@@ -146,31 +156,13 @@ class CyclotomicField:
             )
         return self.zeta((self.conductor // order) * power)
 
-    # -- internal coefficient arithmetic ------------------------------------
+    # -- inverse -------------------------------------------------------------
 
-    def _mul(self, a, b):
-        d = self.degree
-        conv = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                fold = self._fold[k]
-                for i in range(d):
-                    if fold[i]:
-                        out[i] += ck * fold[i]
-        return tuple(out)
-
-    def _inv(self, a):
+    def _inv(self, a: "CyclotomicNumber") -> "CyclotomicNumber":
         # extended Euclid in Q[x] against the cyclotomic polynomial
-        if not any(a):
+        if not any(a.num):
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        r0, r1 = list(self.minpoly), list(a)
+        r0, r1 = list(self.minpoly), list(a.coeffs)
         s0, s1 = [], [_ONE]
         while True:
             while r1 and r1[-1] == 0:
@@ -179,7 +171,7 @@ class CyclotomicField:
                 inv = 1 / r1[0]
                 out = [c * inv for c in s1]
                 out += [_ZERO] * (self.degree - len(out))
-                return tuple(out[: self.degree])
+                return self._from_fractions(out[: self.degree])
             q, rem = _poly_divmod(r0, r1)
             # s_new = s0 - q*s1
             s_new = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
@@ -208,7 +200,10 @@ class CyclotomicField:
             m = re.fullmatch(r"(?:(\d+(?:/\d+)?))?(?:\*?(z)(?:\^(\d+))?)?", term)
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise ValueError(f"malformed scalar term {term!r} in {text!r}")
-            coeff = Fraction(m.group(1)) if m.group(1) else _ONE
+            try:
+                coeff = Fraction(m.group(1)) if m.group(1) else _ONE
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
             if m.group(2) is None:
                 power = 0
             else:
@@ -218,21 +213,43 @@ class CyclotomicField:
                     f"power z^{power} exceeds field degree {self.degree} in {text!r}"
                 )
             coeffs[power] += sign * coeff
-        return CyclotomicNumber(self, tuple(coeffs))
+        return self._from_fractions(coeffs)
+
+
+def _reduced(field, num, den):
+    """num/den in canonical form: den > 0 and gcd(den, *num) == 1."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return CyclotomicNumber(field, num, den)
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_M) in reduced power-basis coordinates.  Immutable."""
+    """An element of Q(zeta_M): power-basis numerators `num` over `den`.  Immutable.
 
-    __slots__ = ("field", "coeffs")
+    Instances are built only in canonical form (see `_reduced`); use the
+    field's constructors rather than calling this class directly.
+    """
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CyclotomicField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            if other.field != self.field:
+            if other.field.conductor != self.field.conductor:
                 raise MismatchError(
                     f"conductor mismatch: {self.field.conductor} vs {other.field.conductor}"
                 )
@@ -242,25 +259,37 @@ class CyclotomicNumber:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.__class__ is not CyclotomicNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = tuple(map(add, self.num, other.num))
+            if d1 == 1:
+                return CyclotomicNumber(self.field, num, 1)
+            return _reduced(self.field, num, d1)
+        num = tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num))
+        return _reduced(self.field, num, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.field, tuple(-a for a in self.coeffs))
+        return CyclotomicNumber(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.__class__ is not CyclotomicNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = tuple(map(sub, self.num, other.num))
+            if d1 == 1:
+                return CyclotomicNumber(self.field, num, 1)
+            return _reduced(self.field, num, d1)
+        num = tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num))
+        return _reduced(self.field, num, d1 * d2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -269,10 +298,33 @@ class CyclotomicNumber:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(self.field, self.field._mul(self.coeffs, other.coeffs))
+        if other.__class__ is not CyclotomicNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        field = self.field
+        a, b = self.num, other.num
+        d = field.degree
+        if d == 1:
+            num = (a[0] * b[0],)
+        else:
+            # integer convolution, then fold x^k (k >= d) back into the basis
+            conv = [0] * (2 * d - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            conv[i + j] += ai * bj
+            for k, fold in enumerate(field._fold, d):
+                ck = conv[k]
+                if ck:
+                    for i, c in fold:
+                        conv[i] += ck * c
+            num = tuple(conv[:d])
+        den = self.den * other.den
+        if den == 1:
+            return CyclotomicNumber(field, num, 1)
+        return _reduced(field, num, den)
 
     __rmul__ = __mul__
 
@@ -280,7 +332,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * CyclotomicNumber(self.field, self.field._inv(other.coeffs))
+        return self * self.field._inv(other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -289,7 +341,7 @@ class CyclotomicNumber:
         return other / self
 
     def inverse(self):
-        return CyclotomicNumber(self.field, self.field._inv(self.coeffs))
+        return self.field._inv(self)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -305,27 +357,31 @@ class CyclotomicNumber:
         return acc
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if other.__class__ is not CyclotomicNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        # a rational element hashes like the equal int or Fraction
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.conductor, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def multiplicative_order(self, bound: int = 10_000) -> int:
         """Smallest j >= 1 with self^j == 1; raises if none up to bound."""

@@ -120,22 +120,28 @@ class SplitSimpleLieAlgebra:
     # -- construction --------------------------------------------------------
 
     def _build_structure(self):
+        """Integer structure table, then its lift to field scalars.
+
+        The constants are integers (N = +-(p+1), coroot and Cartan pairings),
+        so the table is built and verified over Z; the lift Z -> Q(zeta_M) is
+        an injective ring map, so every identity verified on the integer table
+        holds for the lifted one.
+        """
         rs = self.rootsystem
-        field = self.field
         N = _positive_pair_constants(rs)
-        struct = {}
+        table = {}
 
         def put(i, j, entries):
             entries = tuple((k, c) for k, c in entries if c)
             if entries:
-                struct[(i, j)] = entries
-                struct[(j, i)] = tuple((k, -c) for k, c in entries)
+                table[(i, j)] = entries
+                table[(j, i)] = tuple((k, -c) for k, c in entries)
 
         h0 = 2 * self.npos
         for i in range(self.npos):
             alpha = rs.positive_roots[i]
             coroot = rs.coroot(alpha)
-            put(i, self.npos + i, [(h0 + t, field.scalar(c)) for t, c in enumerate(coroot)])
+            put(i, self.npos + i, [(h0 + t, c) for t, c in enumerate(coroot)])
         for ia in range(2 * self.npos):
             a = self.root_of_index[ia]
             for ib in range(ia + 1, 2 * self.npos):
@@ -145,37 +151,55 @@ class SplitSimpleLieAlgebra:
                     continue  # handled above
                 if s in rs.all_roots:
                     c = _signed_pair_constant(rs, N, a, b)
-                    put(ia, ib, [(self.index_of_root[s], field.scalar(c))])
+                    if c.denominator != 1:
+                        raise StructureError(f"structure constant N({a},{b}) = {c} is not integral")
+                    put(ia, ib, [(self.index_of_root[s], int(c))])
         for t in range(self.rank):
             for ia in range(2 * self.npos):
                 a = self.root_of_index[ia]
                 pairing = rs.pairing(a, t)
                 if pairing:
-                    put(h0 + t, ia, [(ia, field.scalar(pairing))])
-        self.struct = struct
-        self._struct_map = {key: dict(val) for key, val in struct.items()}
+                    put(h0 + t, ia, [(ia, pairing)])
+        self._int_struct = table
+        lift = {}
+        for entries in table.values():
+            for _, c in entries:
+                if c not in lift:
+                    lift[c] = self.field.scalar(c)
+        self.struct = {
+            key: tuple((k, lift[c]) for k, c in entries) for key, entries in table.items()
+        }
+        # _rows[i][j] = [b_i, b_j] as (k, c) pairs, for the bracket's inner loop
+        self._rows = [{} for _ in range(self.dim)]
+        for (i, j), entries in self.struct.items():
+            self._rows[i][j] = entries
 
     def _build_killing(self):
-        field = self.field
+        table = self._int_struct
         d = self.dim
-        kill = [[field.zero] * d for _ in range(d)]
+        maps = {key: dict(entries) for key, entries in table.items()}
+        # ad[i]: nonzero (r, c, v) with v the b_c coefficient of [b_i, b_r]
+        ad = [
+            [(r, c, v) for r in range(d) for c, v in table.get((i, r), ())]
+            for i in range(d)
+        ]
+        kill = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                total = field.zero
-                for c in range(d):
-                    row_j = self.struct.get((j, c))
-                    if not row_j:
-                        continue
-                    row_i_map = None
-                    for r, w in row_j:
-                        row_i_map = self._struct_map.get((i, r))
-                        if row_i_map:
-                            v = row_i_map.get(c)
-                            if v is not None:
-                                total = total + v * w
-                kill[i][j] = total
-                kill[j][i] = total
-        self.killing_matrix = kill
+                # trace of ad_i ad_j = sum of (ad_i)_{c,r} (ad_j)_{r,c}
+                total = 0
+                for r, c, v in ad[i]:
+                    col = maps.get((j, c))
+                    if col:
+                        w = col.get(r)
+                        if w:
+                            total += v * w
+                kill[i][j] = kill[j][i] = total
+        lift = {c: self.field.scalar(c) for row in kill for c in set(row)}
+        self.killing_matrix = [[lift[c] for c in row] for row in kill]
+        self._killing_rows = [
+            tuple((j, lift[c]) for j, c in enumerate(row) if c) for row in kill
+        ]
 
     # -- vectors ---------------------------------------------------------------
 
@@ -203,15 +227,16 @@ class SplitSimpleLieAlgebra:
         if len(u) != self.dim or len(v) != self.dim:
             raise MismatchError("vector dimension does not match the algebra")
         out = [self.field.zero] * self.dim
+        nonzero_v = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if a:
-                for j, b in enumerate(v):
-                    if b:
-                        entries = self.struct.get((i, j))
-                        if entries:
-                            ab = a * b
-                            for k, c in entries:
-                                out[k] = out[k] + ab * c
+                row = self._rows[i]
+                for j, b in nonzero_v:
+                    entries = row.get(j)
+                    if entries:
+                        ab = a * b
+                        for k, c in entries:
+                            out[k] = out[k] + ab * c
         return out
 
     def killing(self, u, v):
@@ -220,37 +245,38 @@ class SplitSimpleLieAlgebra:
         total = self.field.zero
         for i, a in enumerate(u):
             if a:
-                row = self.killing_matrix[i]
-                for j, b in enumerate(v):
+                for j, k in self._killing_rows[i]:
+                    b = v[j]
                     if b:
-                        total = total + a * b * row[j]
+                        total = total + a * b * k
         return total
 
     # -- verification ------------------------------------------------------------
 
     def _jacobi_defect(self, i, j, k):
+        """Nonzero coefficients of [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]]."""
+        table = self._int_struct
         acc = {}
-
-        def add_term(a, inner):
-            for m, c in inner:
-                entries = self.struct.get((a, m))
-                if entries:
-                    for t, w in entries:
-                        acc[t] = acc.get(t, self.field.zero) + c * w
-
-        add_term(i, self.struct.get((j, k), ()))
-        add_term(j, self.struct.get((k, i), ()))
-        add_term(k, self.struct.get((i, j), ()))
+        for a, inner in ((i, table.get((j, k))), (j, table.get((k, i))), (k, table.get((i, j)))):
+            if inner:
+                for m, c in inner:
+                    for t, w in table.get((a, m), ()):
+                        acc[t] = acc.get(t, 0) + c * w
         return {t: v for t, v in acc.items() if v}
 
     def verify_chevalley(self):
-        """Exhaustive antisymmetry + Jacobi on basis triples; Killing nondegeneracy."""
-        for (i, j), entries in self.struct.items():
-            mirrored = dict(self.struct.get((j, i), ()))
+        """Exhaustive antisymmetry + Jacobi on basis triples; Killing nondegeneracy.
+
+        The bracket identities are checked on the integer table (see
+        `_build_structure`).
+        """
+        table = self._int_struct
+        for (i, j), entries in table.items():
+            mirrored = dict(table.get((j, i), ()))
             if {k: -c for k, c in entries} != mirrored:
                 raise StructureError(f"antisymmetry fails on basis pair ({i},{j})")
         for i in range(self.dim):
-            if (i, i) in self.struct:
+            if (i, i) in table:
                 raise StructureError(f"[b_{i}, b_{i}] != 0")
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
