@@ -33,13 +33,13 @@ def main() -> int:
     for lam in product(range(-args.lmax, args.lmax + 1), repeat=n):
         closed = False
         for window in range(max(max(abs(x) for x in lam), 1), args.max_window + 1):
-            start = time.time()
+            start = time.perf_counter()
             rep = cocycle_space_report(session.ext, lam, window)
             print(
                 f"lambda={list(lam)} d={window}: upper={rep['h2_dim']} "
                 f"lower={rep['lower_bound']} z2={rep['z2_dim']} b2={rep['b2_dim']} "
                 f"{'CERTIFIED' if rep['certified'] else 'open'} "
-                f"[{time.time() - start:.2f}s]"
+                f"[{time.perf_counter() - start:.2f}s]"
             )
             if rep["certified"]:
                 closed = True

@@ -33,10 +33,10 @@ def main() -> int:
             spec.window = args.window
         session = Session(spec)
         for check in CHECK_NAMES:
-            start = time.time()
+            start = time.perf_counter()
             (report,) = run_checks(session, check)
             status = "ok" if report["passed"] else "FAIL"
-            print(f"{name:<18} {check:<14} {status:<5} {time.time() - start:6.2f}s")
+            print(f"{name:<18} {check:<14} {status:<5} {time.perf_counter() - start:6.2f}s")
             if not report["passed"]:
                 failures += 1
     if failures:

@@ -78,9 +78,10 @@ class GaloisElement:
     __slots__ = ("group", "components")
 
     def __init__(self, group: GaloisGroup, components):
-        components = tuple(int(c) % m for c, m in zip(components, group.orders))
+        components = tuple(components)
         if len(components) != group.n:
             raise MismatchError("wrong number of Galois components")
+        components = tuple(int(c) % m for c, m in zip(components, group.orders))
         self.group = group
         self.components = components
 

@@ -21,6 +21,13 @@ from .liealg import (
 VALID_FAMILIES = "ABCDEFG"
 
 
+def _integer(value) -> int:
+    # JSON true/false would otherwise pass int() as 1/0
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SessionSpec:
     family: str
@@ -35,21 +42,17 @@ class SessionSpec:
     def from_dict(cls, data: dict) -> "SessionSpec":
         try:
             algebra = data["algebra"]
-            family = str(algebra["family"]).upper()
-            rank = int(algebra["rank"])
-            autos = list(data["autos"])
-            orders = tuple(int(m) for m in data["orders"])
+            spec = cls(
+                family=str(algebra["family"]).upper(),
+                rank=_integer(algebra["rank"]),
+                autos=list(data["autos"]),
+                orders=tuple(_integer(m) for m in data["orders"]),
+                window=_integer(data.get("window", 2)),
+                margin=_integer(data.get("margin", 1)),
+                seed=_integer(data.get("seed", 0)),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed session spec: {exc}") from exc
-        spec = cls(
-            family=family,
-            rank=rank,
-            autos=autos,
-            orders=orders,
-            window=int(data.get("window", 2)),
-            margin=int(data.get("margin", 1)),
-            seed=int(data.get("seed", 0)),
-        )
         spec.validate()
         return spec
 
@@ -120,7 +123,9 @@ class Session:
         for a in spec.autos:
             try:
                 self.sigmas.append(self._build_auto(a))
-            except (StructureError, MismatchError) as exc:
+            except SpecError:
+                raise
+            except (StructureError, ValueError, TypeError) as exc:
                 raise SpecError(f"invalid automorphism spec {a}: {exc}") from exc
         self.ring = LaurentRing(self.field, spec.orders)
         try:

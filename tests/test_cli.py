@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from multiloop import cli
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -113,6 +115,38 @@ def test_spec_error_exit(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "info", "--spec", str(bad))
     assert code == 2 and "error:" in err
+
+
+_IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "algebra, auto",
+    [
+        ({"family": "A", "rank": 1},
+         {"kind": "matrix", "entries": [["1/0", 0, 0]] + _IDENTITY_3[1:], "order": 1}),
+        ({"family": "A", "rank": 1},
+         {"kind": "matrix", "entries": [[0.5, 0, 0]] + _IDENTITY_3[1:], "order": 1}),
+        ({"family": "A", "rank": 2}, {"kind": "diagram", "perm": ["a", "b"]}),
+    ],
+    ids=["zero-denominator", "float-entry", "non-integer-perm"],
+)
+def test_malformed_automorphism_entries_exit_2(tmp_path, capsys, algebra, auto):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"algebra": algebra, "autos": [auto], "orders": [1]}))
+    code, out, err = run_cli(capsys, "info", "--spec", str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error: invalid automorphism spec")
+
+
+@pytest.mark.parametrize("key, value", [("window", "x"), ("window", True), ("seed", "1.5")])
+def test_malformed_integer_fields_exit_2(tmp_path, capsys, key, value):
+    data = json.loads((SPECS / "a1_untwisted_n1.json").read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "info", "--spec", str(bad))
+    assert code == 2 and not out and "malformed session spec" in err
 
 
 def test_missing_spec_file(capsys):

@@ -110,6 +110,16 @@ def test_canonical_equality(conductor):
     assert lhs.coeffs == rhs.coeffs
 
 
+@pytest.mark.parametrize("conductor", [1, 3, 12])
+def test_rational_elements_hash_like_equal_rationals(conductor):
+    field = CyclotomicField(conductor)
+    for value in (0, 1, -2, Fraction(3, 4), Fraction(-7, 6)):
+        x = field.scalar(value)
+        assert x == value and hash(x) == hash(value)
+    assert len({field.one, 1}) == 1
+    assert len({field.scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
 def test_float_embedding_homomorphism():
     rng = random.Random(0)
     field = CyclotomicField(12)
@@ -143,6 +153,12 @@ def test_string_examples():
     assert str(x) == "1/2 - 2*z"
     assert field.parse("1/2 - 2*z") == x
     assert field.parse("-z") == -field.zeta()
+
+
+@pytest.mark.parametrize("text", ["1/0", "0.5"])
+def test_parse_rejects_malformed_scalars(text):
+    with pytest.raises(ValueError):
+        CyclotomicField(4).parse(text)
 
 
 def test_power_and_negative_power():

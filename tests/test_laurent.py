@@ -68,6 +68,15 @@ def test_shape_mismatch_rejected():
     assert ring_m2().one == other.one  # equal shapes are interchangeable
 
 
+def test_galois_element_length_checked():
+    group = ring_m23().group
+    with pytest.raises(MismatchError):
+        group.element((1, 1, 1))
+    with pytest.raises(MismatchError):
+        group.element((1,))
+    assert group.element((3, 4)).components == (1, 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ring_axioms(data):

@@ -46,6 +46,20 @@ def test_spec_round_trip():
             "orders": [1],
             "window": 0,
         },
+        *[
+            {
+                "algebra": {"family": "A", "rank": 1},
+                "autos": [{"kind": "identity"}],
+                "orders": [1],
+                key: value,
+            }
+            for key, value in [
+                ("window", "x"), ("window", True), ("margin", "y"), ("margin", False),
+                ("seed", None), ("seed", True),
+            ]
+        ],
+        {"algebra": {"family": "A", "rank": True}, "autos": [{"kind": "identity"}], "orders": [1]},
+        {"algebra": {"family": "A", "rank": 1}, "autos": [{"kind": "identity"}], "orders": [True]},
     ],
 )
 def test_invalid_specs(data):
