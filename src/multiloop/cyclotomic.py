@@ -79,9 +79,9 @@ class CyclotomicField:
         if conductor < 1:
             raise ValueError(f"conductor must be a positive integer, got {conductor}")
         self.conductor = conductor
-        self.minpoly = cyclotomic_polynomial(conductor)
+        # monic with integer coefficients, lowest degree first
+        self.minpoly = tuple(int(c) for c in cyclotomic_polynomial(conductor))
         self.degree = d = len(self.minpoly) - 1  # phi(conductor)
-        self._poly = tuple(int(c) for c in self.minpoly)  # monic, integral
         # nonzero (i, c) of x^k mod minpoly for d <= k <= 2*d - 2, to fold products
         fold = []
         cur = [0] * (d - 1) + [1]
@@ -99,7 +99,7 @@ class CyclotomicField:
         out = [0] + list(coeffs[:-1])
         if top:
             for i in range(self.degree):
-                out[i] -= top * self._poly[i]
+                out[i] -= top * self.minpoly[i]
         return out
 
     def __repr__(self):
@@ -162,7 +162,7 @@ class CyclotomicField:
         # extended Euclid in Q[x] against the cyclotomic polynomial
         if not any(a.num):
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        r0, r1 = list(self.minpoly), list(a.coeffs)
+        r0, r1 = [Fraction(c) for c in self.minpoly], list(a.coeffs)
         s0, s1 = [], [_ONE]
         while True:
             while r1 and r1[-1] == 0:

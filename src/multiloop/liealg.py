@@ -152,7 +152,7 @@ class SplitSimpleLieAlgebra:
                 if s in rs.all_roots:
                     c = _signed_pair_constant(rs, N, a, b)
                     if c.denominator != 1:
-                        raise StructureError(f"structure constant N({a},{b}) = {c} is not integral")
+                        raise StructureError(f"N({a},{b}) = {c} is not an integer")
                     put(ia, ib, [(self.index_of_root[s], int(c))])
         for t in range(self.rank):
             for ia in range(2 * self.npos):
@@ -161,11 +161,7 @@ class SplitSimpleLieAlgebra:
                 if pairing:
                     put(h0 + t, ia, [(ia, pairing)])
         self._int_struct = table
-        lift = {}
-        for entries in table.values():
-            for _, c in entries:
-                if c not in lift:
-                    lift[c] = self.field.scalar(c)
+        lift = {c: self.field.scalar(c) for entries in table.values() for _, c in entries}
         self.struct = {
             key: tuple((k, lift[c]) for k, c in entries) for key, entries in table.items()
         }
@@ -257,11 +253,10 @@ class SplitSimpleLieAlgebra:
         """Nonzero coefficients of [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]]."""
         table = self._int_struct
         acc = {}
-        for a, inner in ((i, table.get((j, k))), (j, table.get((k, i))), (k, table.get((i, j)))):
-            if inner:
-                for m, c in inner:
-                    for t, w in table.get((a, m), ()):
-                        acc[t] = acc.get(t, 0) + c * w
+        for a, inner in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+            for m, c in table.get(inner, ()):
+                for t, w in table.get((a, m), ()):
+                    acc[t] = acc.get(t, 0) + c * w
         return {t: v for t, v in acc.items() if v}
 
     def verify_chevalley(self):
