@@ -139,11 +139,9 @@ class CyclotomicField:
 
     def zeta(self, power: int = 1) -> "CyclotomicNumber":
         """zeta_M^power in canonical form."""
-        power %= self.conductor
         cur = list(self.one.num)
-        if self.conductor > 1:
-            for _ in range(power):
-                cur = self._shift_reduce(cur)
+        for _ in range(power % self.conductor):
+            cur = self._shift_reduce(cur)
         return CyclotomicNumber(self, tuple(cur), 1)
 
     def root_of_unity(self, order: int, power: int = 1) -> "CyclotomicNumber":
