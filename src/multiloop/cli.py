@@ -1,7 +1,9 @@
 """Command-line front end: build sessions from JSON specs and run the suites.
 
 Exit codes: 0 pass, 1 check or certificate failure, 2 usage or spec error.
-All reports are deterministic given (spec, seed) and use exact scalar strings.
+A StructureError raised while a command runs is a failed consistency check:
+it prints "error: ..." on stderr and exits 1.  All reports are deterministic
+given (spec, seed) and use exact scalar strings.
 """
 
 from __future__ import annotations
@@ -173,12 +175,12 @@ def main(argv=None) -> int:
             payload = {**_header(session, "centre"), **rep}
             _emit(payload, args.table)
             return 0 if rep["passed"] else 1
-    except (SpecError, MismatchError) as exc:
+    except (SpecError, MismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
     print(f"error: unknown command {args.command}", file=sys.stderr)
     return 2

@@ -16,6 +16,7 @@ from .errors import MismatchError, StructureError
 from .extension import CentralExtension
 from .kaehler import slot_indices
 from .laurent import box_degrees
+from .liealg import _subalgebra_killing
 
 
 def _in_box(degree, d):
@@ -165,32 +166,61 @@ class WindowedCochain:
         }
         return WindowedCochain(self.twisted, self.lam, self.window, len(vec), comp)
 
-    def coordinate(self, t: int) -> "WindowedCochain":
-        """The t-th scalar coordinate cochain."""
-        comp = {
-            key: [[(v[t],) for v in row] for row in block]
-            for key, block in self.comp.items()
-        }
-        return WindowedCochain(self.twisted, self.lam, self.window, 1, comp)
+
+def _bracket_coords(twisted, x, y):
+    """Nonzero (position, coefficient) pairs of [x, y] in its component basis;
+    x and y are homogeneous, so [x, y] lies in one component."""
+    out = []
+    for e, gv in twisted.loopalg.bracket(x, y).terms.items():
+        out.extend((r, c) for r, c in enumerate(twisted.component_coords(e, gv)) if c)
+    return out
+
+
+def _window_triples(basis, lam, window: int):
+    """Index triples i < j < k, in lexicographic order, of a `window_basis` list
+    with d_i + d_j + d_k = lam and every pairwise sum (lam - d) in the window.
+
+    Each degree is one contiguous block of the list (the box is sorted), so
+    k ranges over the block of degree lam - d_i - d_j only.
+    """
+    blocks = {}
+    for idx, (d, _, _) in enumerate(basis):
+        blocks.setdefault(d, [idx, idx])[1] = idx + 1
+    free = [_in_box(tuple(l - a for l, a in zip(lam, d)), window) for d, _, _ in basis]
+    for i, (di, _, _) in enumerate(basis):
+        if not free[i]:
+            continue
+        for j in range(i + 1, len(basis)):
+            if free[j]:
+                dk = tuple(l - a - b for l, a, b in zip(lam, di, basis[j][0]))
+                start, end = blocks.get(dk, (0, 0))
+                if end and free[start]:
+                    for k in range(max(j + 1, start), end):
+                        yield i, j, k
 
 
 def zero_cochain(twisted, lam, window: int, vdim: int = 1) -> WindowedCochain:
     return WindowedCochain(twisted, lam, window, vdim, {})
 
 
-def cochain_from_function(twisted, lam, window: int, vdim: int, fill) -> WindowedCochain:
-    """Build components from fill(mu, nu, a, b) -> value tuple, for mu <= nu."""
-    lam = tuple(lam)
-    comp = {}
+def _pair_blocks(twisted, lam, window: int):
+    """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam."""
     for mu in box_degrees(twisted.ring.n, window):
         nu = tuple(l - m for l, m in zip(lam, mu))
         if mu > nu or not _in_box(nu, window):
             continue
         dm, dn = twisted.component_dim(mu), twisted.component_dim(nu)
-        if dm == 0 or dn == 0:
-            continue
-        block = [[tuple(fill(mu, nu, a, b)) for b in range(dn)] for a in range(dm)]
-        comp[(mu, nu)] = block
+        if dm and dn:
+            yield mu, nu, dm, dn
+
+
+def cochain_from_function(twisted, lam, window: int, vdim: int, fill) -> WindowedCochain:
+    """Build components from fill(mu, nu, a, b) -> value tuple, for mu <= nu."""
+    lam = tuple(lam)
+    comp = {
+        (mu, nu): [[tuple(fill(mu, nu, a, b)) for b in range(dn)] for a in range(dm)]
+        for mu, nu, dm, dn in _pair_blocks(twisted, lam, window)
+    }
     return WindowedCochain(twisted, lam, window, vdim, comp)
 
 
@@ -229,19 +259,14 @@ def coboundary(twisted, lam, window: int, tau) -> WindowedCochain:
     if len(tau) != dim_lam:
         raise MismatchError("tau must assign a value to each lam-component basis vector")
     vdim = len(tau[0]) if tau else 1
-    lb = twisted.loopalg.bracket
 
     def fill(mu, nu, a, b):
         x = twisted.component_basis(mu)[a]
         y = twisted.component_basis(nu)[b]
-        w = lb(x, y)
         out = [field.zero] * vdim
-        for e, gv in w.terms.items():
-            coords = twisted.component_coords(e, gv)
-            for r, c in enumerate(coords):
-                if c:
-                    for t in range(vdim):
-                        out[t] = out[t] - c * tau[r][t]
+        for r, c in _bracket_coords(twisted, x, y):
+            for t in range(vdim):
+                out[t] = out[t] - c * tau[r][t]
         return tuple(out)
 
     return cochain_from_function(twisted, lam, window, vdim, fill)
@@ -256,13 +281,7 @@ class CochainIndex:
         self.window = window
         self.blocks = {}
         self.size = 0
-        for mu in box_degrees(twisted.ring.n, window):
-            nu = tuple(l - m for l, m in zip(self.lam, mu))
-            if mu > nu or not _in_box(nu, window):
-                continue
-            dm, dn = twisted.component_dim(mu), twisted.component_dim(nu)
-            if dm == 0 or dn == 0:
-                continue
+        for mu, nu, dm, dn in _pair_blocks(twisted, self.lam, window):
             self.blocks[(mu, nu)] = self.size
             if mu == nu:
                 self.size += dm * (dm - 1) // 2
@@ -319,48 +338,30 @@ class CochainIndex:
 def _constraint_rows(ext: CentralExtension, index: CochainIndex):
     """Sparse cocycle-identity rows over the unknowns, one per window triple."""
     tw = ext.twisted
-    lam = index.lam
-    window = index.window
-    basis = tw.window_basis(window)
-    lb = tw.loopalg.bracket
+    zero = tw.field.zero
+    basis = tw.window_basis(index.window)
+
+    def absorb(row, first, second, other):
+        """Add the terms of P([first, second], other) to the row."""
+        pair_deg = tuple(a + b for a, b in zip(first[0], second[0]))
+        for r, c in _bracket_coords(tw, first[2], second[2]):
+            res = index.unknown(pair_deg, other[0], r, other[1])
+            if res is not None:
+                uid, sign = res
+                cur = row.get(uid, zero) + (c if sign == 1 else -c)
+                if cur:
+                    row[uid] = cur
+                elif uid in row:
+                    del row[uid]
+
     rows = []
-    nb = len(basis)
-    for i in range(nb):
-        di, pi, xi = basis[i]
-        for j in range(i + 1, nb):
-            dj, pj, xj = basis[j]
-            dij = tuple(a + b for a, b in zip(di, dj))
-            for k in range(j + 1, nb):
-                dk, pk, xk = basis[k]
-                if tuple(a + b for a, b in zip(dij, dk)) != lam:
-                    continue
-                djk = tuple(a + b for a, b in zip(dj, dk))
-                dki = tuple(a + b for a, b in zip(dk, di))
-                if not (_in_box(dij, window) and _in_box(djk, window) and _in_box(dki, window)):
-                    continue
-                row = {}
-
-                def absorb(bracket_el, pair_deg, other_deg, other_pos):
-                    w = bracket_el
-                    for e, gv in w.terms.items():
-                        coords = tw.component_coords(e, gv)
-                        for r, c in enumerate(coords):
-                            if c:
-                                res = index.unknown(pair_deg, other_deg, r, other_pos)
-                                if res is not None:
-                                    uid, sign = res
-                                    cur = row.get(uid, tw.field.zero)
-                                    cur = cur + (c if sign == 1 else -c)
-                                    if cur:
-                                        row[uid] = cur
-                                    elif uid in row:
-                                        del row[uid]
-
-                absorb(lb(xi, xj), dij, dk, pk)
-                absorb(lb(xj, xk), djk, di, pi)
-                absorb(lb(xk, xi), dki, dj, pj)
-                if row:
-                    rows.append(row)
+    for i, j, k in _window_triples(basis, index.lam, index.window):
+        row = {}
+        absorb(row, basis[i], basis[j], basis[k])
+        absorb(row, basis[j], basis[k], basis[i])
+        absorb(row, basis[k], basis[i], basis[j])
+        if row:
+            rows.append(row)
     return rows
 
 
@@ -434,62 +435,28 @@ def is_windowed_cocycle(ext: CentralExtension, P: WindowedCochain) -> bool:
     tw = P.twisted
     basis = tw.window_basis(P.window)
     lb = tw.loopalg.bracket
-    window = P.window
-    nb = len(basis)
-    for i in range(nb):
-        di, _, xi = basis[i]
-        for j in range(i + 1, nb):
-            dj, _, xj = basis[j]
-            dij = tuple(a + b for a, b in zip(di, dj))
-            xij = lb(xi, xj)
-            for k in range(j + 1, nb):
-                dk, _, xk = basis[k]
-                if tuple(a + b for a, b in zip(dij, dk)) != P.lam:
-                    continue
-                djk = tuple(a + b for a, b in zip(dj, dk))
-                dki = tuple(a + b for a, b in zip(dk, di))
-                if not (_in_box(dij, window) and _in_box(djk, window) and _in_box(dki, window)):
-                    continue
-                total = tuple(
-                    a + b + c
-                    for a, b, c in zip(
-                        P.evaluate(xij, xk),
-                        P.evaluate(lb(xj, xk), xi),
-                        P.evaluate(lb(xk, xi), xj),
-                    )
-                )
-                if any(total):
-                    return False
+    for i, j, k in _window_triples(basis, P.lam, P.window):
+        xi, xj, xk = basis[i][2], basis[j][2], basis[k][2]
+        total = tuple(
+            a + b + c
+            for a, b, c in zip(
+                P.evaluate(lb(xi, xj), xk),
+                P.evaluate(lb(xj, xk), xi),
+                P.evaluate(lb(xk, xi), xj),
+            )
+        )
+        if any(total):
+            return False
     return True
 
 
 def g0_is_semisimple(twisted) -> bool:
     """Killing form of the fixed subalgebra is nondegenerate."""
-    field = twisted.field
-    basis = [list(v) for v in twisted.g0_basis()]
-    d = len(basis)
-    if d == 0:
+    basis = twisted.g0_basis()
+    if not basis:
         return False
-    solver = linalg.SpanSolver(field, basis)
-    ad = []
-    for i in range(d):
-        cols = []
-        for j in range(d):
-            coords = solver.coords(twisted.algebra.bracket(basis[i], basis[j]))
-            if coords is None:
-                raise StructureError("fixed subalgebra is not bracket-closed")
-            cols.append(coords)
-        ad.append(cols)  # ad[i][j][r]: coeff of b_r in [b_i, b_j]
-    kill = [[field.zero] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            tr = field.zero
-            for r in range(d):
-                for c in range(d):
-                    tr = tr + ad[i][c][r] * ad[j][r][c]
-            kill[i][j] = tr
-            kill[j][i] = tr
-    return bool(linalg.det(kill, field))
+    _, kill = _subalgebra_killing(twisted.algebra, basis)
+    return bool(linalg.det(kill, twisted.field))
 
 
 def invariantize(ext: CentralExtension, P: WindowedCochain):
@@ -507,15 +474,11 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
     g0 = tw.component_basis((0,) * tw.ring.n)
     lam_basis = tw.component_basis(lam)
     rows, rhs = [], []
-    lb = tw.loopalg.bracket
-    for a, x in enumerate(lam_basis):
-        for b, y in enumerate(g0):
-            w = lb(x, y)
+    for x in lam_basis:
+        for y in g0:
             row = [field.zero] * dim_lam
-            for e, gv in w.terms.items():
-                coords = tw.component_coords(e, gv)
-                for r, c in enumerate(coords):
-                    row[r] = row[r] + c
+            for r, c in _bracket_coords(tw, x, y):
+                row[r] = c
             rows.append(row)
             rhs.append(P.evaluate(x, y))
     tau = []
@@ -532,11 +495,16 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
         tau.append(sol)
     tau_rows = [tuple(tau[t][r] for t in range(P.vdim)) for r in range(dim_lam)]
     P2 = P + coboundary(tw, lam, P.window, tau_rows)
-    for a, x in enumerate(lam_basis):
-        for b, y in enumerate(g0):
-            if any(P2.evaluate(x, y)):
-                raise StructureError("normalization property failed after the solve")
+    if not _is_normalized(P2):
+        raise StructureError("normalization property failed after the solve")
     return P2, tau_rows
+
+
+def _is_normalized(P: WindowedCochain) -> bool:
+    """P vanishes on every (lam-component, fixed-subalgebra) pair."""
+    tw = P.twisted
+    g0 = tw.component_basis((0,) * tw.ring.n)
+    return not any(any(P.evaluate(x, y)) for x in tw.component_basis(P.lam) for y in g0)
 
 
 class CentralClassMap:
@@ -578,39 +546,32 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
     ring = ext.ring
     lam = P.lam
     field = tw.field
-    g0 = tw.component_basis((0,) * ring.n)
-    zero_res = (0,) * ring.n
-    g0_vecs = [list(v) for v in tw.eigen.component(zero_res)]
+    g0_vecs = tw.g0_basis()
     d0 = len(g0_vecs)
     kill = [
         [ext.algebra.killing(g0_vecs[a], g0_vecs[b]) for b in range(d0)]
         for a in range(d0)
     ]
-    # normalization precondition
-    lam_basis = tw.component_basis(lam)
-    for x in lam_basis:
-        for y in g0:
-            if any(P.evaluate(x, y)):
-                raise StructureError("cochain is not normalized; run invariantize first")
+    if not _is_normalized(P):
+        raise StructureError("cochain is not normalized; run invariantize first")
     slots = slot_indices(ring, lam) if ring.in_base_lattice(lam) else []
     if not slots:
         return CentralClassMap(ext, lam, [], [], P.vdim)
 
-    pairs = []
-    for mu in box_degrees(ring.n, P.window):
-        if not ring.in_base_lattice(mu):
-            continue
-        nu = tuple(l - m for l, m in zip(lam, mu))
-        if not (_in_box(nu, P.window) and ring.in_base_lattice(nu)):
-            continue
-        pairs.append((mu, nu))
+    base_degrees = [d for d in box_degrees(ring.n, P.window) if ring.in_base_lattice(d)]
+    pairs = [
+        (mu, nu)
+        for mu in base_degrees
+        for nu in [tuple(l - m for l, m in zip(lam, mu))]
+        if nu in base_degrees
+    ]
     if not pairs:
         raise StructureError("no base-lattice monomial pairs in the window at this degree")
 
     z_values = {}
     for mu, nu in pairs:
-        xmu = [tw.loopalg.pure(v, mu) for v in g0_vecs]
-        ynu = [tw.loopalg.pure(v, nu) for v in g0_vecs]
+        # base-lattice degrees have residue 0: their basis is g0 tensor s^degree
+        xmu, ynu = tw.component_basis(mu), tw.component_basis(nu)
         values = [[P.evaluate(xmu[a], ynu[b]) for b in range(d0)] for a in range(d0)]
         z = None
         for a in range(d0):
@@ -640,9 +601,6 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
         if rev is not None and tuple(-x for x in rev) != z:
             raise StructureError("z antisymmetry fails")
     # cyclic relation z_{ab,c} + z_{bc,a} + z_{ca,b} = 0 on in-window triples
-    base_degrees = [
-        d for d in box_degrees(ring.n, P.window) if ring.in_base_lattice(d)
-    ]
     for mu in base_degrees:
         for nu in base_degrees:
             for rho in base_degrees:
@@ -672,7 +630,6 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
         raise StructureError(
             "window pairs do not span the central classes at this degree"
         )
-    matrix = []
     cols = []
     for t in range(P.vdim):
         sol = linalg.solve_system(rows, [z[t] for z in rhs], field)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from . import linalg
 from .errors import MismatchError, StructureError
 from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
-from .liealg import EigenspaceDecomposition, LieAutomorphism, SplitSimpleLieAlgebra
+from .liealg import (
+    EigenspaceDecomposition,
+    LieAutomorphism,
+    SplitSimpleLieAlgebra,
+    _check_commuting_family,
+    _joint_eigenspace,
+    identity_automorphism,
+)
 
 
 class LoopAlgebra:
@@ -192,23 +199,8 @@ class DescentCocycle:
             raise MismatchError("one generator image per Galois factor is required")
         if self.orders != loopalg.ring.orders:
             raise MismatchError("cocycle orders do not match the ring")
-        from .liealg import identity_automorphism
-
-        ident = identity_automorphism(loopalg.algebra)
-        for i, (v, m) in enumerate(zip(self.generators, self.orders)):
-            if v.algebra is not loopalg.algebra:
-                raise StructureError("generator image acts on a different algebra")
-            if v ** m != ident:
-                raise StructureError(
-                    f"generator image {i} does not satisfy v^{m} = id"
-                )
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                if not self.generators[i].commutes_with(self.generators[j]):
-                    raise StructureError(
-                        f"generator images {i} and {j} do not commute; "
-                        "only constant cocycles over an abelian family are supported"
-                    )
+        # only constant cocycles over an abelian family are supported
+        _check_commuting_family(loopalg.algebra, self.generators, self.orders)
         self._values = {}
         if verify_law:
             self._verify_constant_law()
@@ -217,8 +209,6 @@ class DescentCocycle:
         key = g.components
         cached = self._values.get(key)
         if cached is None:
-            from .liealg import identity_automorphism
-
             cached = identity_automorphism(self.loopalg.algebra)
             for v, j in zip(self.generators, key):
                 if j:
@@ -258,6 +248,7 @@ class TwistedLoopAlgebra:
         self.cocycle = DescentCocycle(
             loopalg, [s.inverse() for s in self.sigmas], self.orders
         )
+        self._components = {}  # degree -> basis of the component, built on first use
 
     # -- components -----------------------------------------------------------
 
@@ -271,29 +262,28 @@ class TwistedLoopAlgebra:
         return len(self.component_gbasis(degree))
 
     def component_basis(self, degree):
+        """The eigen-adapted basis x_a tensor s^degree of one component, as a tuple."""
         degree = tuple(degree)
-        return [
-            self.loopalg.pure(list(v), degree) for v in self.component_gbasis(degree)
-        ]
+        basis = self._components.get(degree)
+        if basis is None:
+            basis = self._components[degree] = tuple(
+                self.loopalg.pure(v, degree) for v in self.component_gbasis(degree)
+            )
+        return basis
 
     def component_coords(self, degree, gvec):
         """Coordinates of a g-vector in the eigen-adapted component basis."""
         return self.eigen.coords(self.residue(degree), list(gvec))
 
     def component_direct(self, degree):
-        """Fixed-point computation of the degree component, as an independent route."""
-        degree = tuple(degree)
-        field = self.field
-        dim = self.algebra.dim
-        rows = []
-        for g in self.group.elements():
-            chi = self.group.character(g, degree)
-            u = self.cocycle.value(g)
-            for r in range(dim):
-                row = [chi * u.columns[c][r] for c in range(dim)]
-                row[r] = row[r] - field.one
-                rows.append(row)
-        return [tuple(v) for v in linalg.nullspace(rows, dim, field)]
+        """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the
+        eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x."""
+        negated = tuple(-a for a in degree)
+        pairs = [
+            (self.cocycle.value(g).columns, self.group.character(g, negated))
+            for g in self.group.elements()
+        ]
+        return [tuple(v) for v in _joint_eigenspace(self.algebra, pairs)]
 
     def contains(self, x: LoopElement) -> bool:
         """Membership in L_u: u_g(^g x) = x for every g, exhaustively."""

@@ -15,8 +15,9 @@ from .descent import LoopElement, TwistedLoopAlgebra
 from .errors import MismatchError, StructureError
 from .kaehler import (
     CentralClass,
-    class_basis_at,
+    _invariant_classes_at,
     differential,
+    invariant_class_basis,
     invariant_matches_base_image_at,
     reduce_form,
     slot_indices,
@@ -197,17 +198,10 @@ class CentralExtension:
 
     # -- window bases --------------------------------------------------------------
 
-    def central_window_classes(self, window: int):
-        """The base-lattice classes in the window: a basis of the expected centre."""
-        out = []
-        for d in box_degrees(self.ring.n, window):
-            if self.ring.in_base_lattice(d):
-                out.extend(class_basis_at(self.ring, d))
-        return out
-
     def extended_window_basis(self, window: int):
+        """Loop window basis, then the base-lattice classes: the expected centre."""
         out = [self.from_loop(el) for _, _, el in self.twisted.window_basis(window)]
-        out.extend(self.from_central(c) for c in self.central_window_classes(window))
+        out.extend(self.from_central(c) for c in invariant_class_basis(self.ring, window))
         return out
 
     # -- verification suites ----------------------------------------------------
@@ -307,11 +301,7 @@ class CentralExtension:
         per_degree = {}
         passed = True
         for degree in box_degrees(self.ring.n, window):
-            expected = (
-                len(slot_indices(self.ring, degree))
-                if self.ring.in_base_lattice(degree)
-                else 0
-            )
+            expected = len(_invariant_classes_at(self.ring, degree))
             gen_d = generator_window
             while True:
                 kernel = self._loop_kernel_dim(degree, gen_d)
@@ -347,7 +337,7 @@ class CentralExtension:
             for gdeg, _, gel in gens:
                 out_deg = tuple(a + b for a, b in zip(degree, gdeg))
                 frame = ExtendedFrame(self, [out_deg])
-                X = ExtendedElement(self, self.loopalg.bracket(cand, gel), self.cocycle(cand, gel))
+                X = self.bracket(self.from_loop(cand), self.from_loop(gel))
                 col.extend(frame.coords(X))
             columns.append(col)
         rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
@@ -364,40 +354,34 @@ class CentralExtension:
             raise MismatchError("margin must be nonnegative")
         big = window + margin
         witnesses, uncovered = [], []
-        enlarged = self.twisted.window_basis(big)
+        tw = self.twisted
         for degree in box_degrees(self.ring.n, window):
-            degree = tuple(degree)
             frame = ExtendedFrame(self, [degree])
             if frame.size == 0:
                 continue
+            # pairs (a, b) with a before b in window_basis(big), [a, b] of this degree
             pairs = []
             vectors = []
-            for ia, (adeg, apos, ael) in enumerate(enlarged):
-                bdeg_needed = tuple(d - a for d, a in zip(degree, adeg))
-                if any(abs(b) > big for b in bdeg_needed):
+            for adeg in tw.window_degrees(big):
+                bdeg = tuple(d - a for d, a in zip(degree, adeg))
+                if bdeg < adeg or any(abs(b) > big for b in bdeg):
                     continue
-                for ib in range(ia, len(enlarged)):
-                    bdeg, bpos, bel = enlarged[ib]
-                    if bdeg != bdeg_needed:
-                        continue
-                    X = ExtendedElement(
-                        self,
-                        self.loopalg.bracket(ael, bel),
-                        self.cocycle(ael, bel),
-                    )
-                    if X.is_zero():
-                        continue
-                    pairs.append(
-                        {"a": [list(adeg), apos], "b": [list(bdeg), bpos]}
-                    )
-                    vectors.append(frame.coords(X))
+                bbasis = tw.component_basis(bdeg)
+                for apos, ael in enumerate(tw.component_basis(adeg)):
+                    for bpos in range(apos if bdeg == adeg else 0, len(bbasis)):
+                        X = self.bracket(self.from_loop(ael), self.from_loop(bbasis[bpos]))
+                        if X.is_zero():
+                            continue
+                        pairs.append(
+                            {"a": [list(adeg), apos], "b": [list(bdeg), bpos]}
+                        )
+                        vectors.append(frame.coords(X))
             solver = linalg.SpanSolver(self.field, vectors)
             targets = [
                 ("loop", pos, self.from_loop(el))
-                for d, pos, el in self.twisted.window_basis(window)
-                if d == degree
+                for pos, el in enumerate(tw.component_basis(degree))
             ]
-            for pos, c in enumerate(class_basis_at(self.ring, degree) if self.ring.in_base_lattice(degree) else []):
+            for pos, c in enumerate(_invariant_classes_at(self.ring, degree)):
                 targets.append(("central", pos, self.from_central(c)))
             for kind, pos, target in targets:
                 coeffs = solver.coords(frame.coords(target))
@@ -449,15 +433,11 @@ class CentralExtension:
                         )
         dim_checks = {}
         for degree in box_degrees(self.ring.n, window):
-            fixed = self._fixed_loop_space(degree)
-            comp = [list(v) for v in tw.component_gbasis(degree)]
+            fixed = tw.component_direct(degree)
+            comp = tw.component_gbasis(degree)
             span = linalg.SpanSolver(self.field, comp)
             same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
-            central_expected = (
-                len(slot_indices(self.ring, degree))
-                if self.ring.in_base_lattice(degree)
-                else 0
-            )
+            central_expected = len(_invariant_classes_at(self.ring, degree))
             central_fixed = self._fixed_central_dim(degree)
             dim_checks[str(list(degree))] = {
                 "loop_fixed": len(fixed),
@@ -491,21 +471,6 @@ class CentralExtension:
             "failures": failures,
         }
 
-    def _fixed_loop_space(self, degree):
-        """Fixed vectors of x -> chi_degree(g) u_g x over all g (direct route)."""
-        degree = tuple(degree)
-        field = self.field
-        dim = self.algebra.dim
-        rows = []
-        for g in self.group.elements():
-            chi = self.group.character(g, degree)
-            u = self.twisted.cocycle.value(g)
-            for r in range(dim):
-                row = [chi * u.columns[c][r] for c in range(dim)]
-                row[r] = row[r] - field.one
-                rows.append(row)
-        return linalg.nullspace(rows, dim, field)
-
     def _fixed_central_dim(self, degree) -> int:
         degree = tuple(degree)
         trivial = all(
@@ -519,7 +484,7 @@ class CentralExtension:
     def lift_fixes_centre(self, window: int) -> dict:
         """Every lifted action fixes every base-lattice window class pointwise."""
         failures = []
-        classes = self.central_window_classes(window)
+        classes = invariant_class_basis(self.ring, window)
         for g in self.group.elements():
             for i, c in enumerate(classes):
                 if self.lifted_action(g, self.from_central(c)) != self.from_central(c):

@@ -10,6 +10,7 @@ degree 0 keeps all n coordinates (classes of s_i^{-1} ds_i).
 
 from __future__ import annotations
 
+from . import linalg
 from .errors import MismatchError
 from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
 
@@ -280,16 +281,19 @@ def graded_class_dim(ring: LaurentRing, degree) -> int:
     return ring.n if not any(degree) else ring.n - 1
 
 
+def _invariant_classes_at(ring: LaurentRing, degree):
+    """Basis of (Omega_S/dS)^G at one degree; empty off the base lattice."""
+    return class_basis_at(ring, degree) if ring.in_base_lattice(degree) else []
+
+
 def invariant_class_basis(ring: LaurentRing, window: int):
     """Basis of (Omega_S/dS)^G restricted to the degree box |alpha_i| <= window.
 
     These are exactly the classes whose degree is divisible by the orders.
     """
-    out = []
-    for degree in box_degrees(ring.n, window):
-        if ring.in_base_lattice(degree):
-            out.extend(class_basis_at(ring, degree))
-    return out
+    return [
+        c for degree in box_degrees(ring.n, window) for c in _invariant_classes_at(ring, degree)
+    ]
 
 
 def base_ring_form(ring: LaurentRing, a_exponents, i: int) -> DifferentialForm:
@@ -322,8 +326,6 @@ def invariant_matches_base_image_at(ring: LaurentRing, degree) -> bool:
     Both inclusions are checked by rank computation; base-ring forms may not
     leak into other degrees.
     """
-    from . import linalg
-
     degree = tuple(degree)
     slots = slot_indices(ring, degree)
 
@@ -344,13 +346,12 @@ def invariant_matches_base_image_at(ring: LaurentRing, degree) -> bool:
 
 
 def invariant_matches_base_image(ring: LaurentRing, window: int) -> bool:
-    """The window fixed classes equal the reduced base-ring image, degree by degree."""
-    from .laurent import box_degrees as _box
+    """The window fixed classes equal the reduced base-ring image, degree by degree.
 
-    for degree in _box(ring.n, window):
-        if ring.in_base_lattice(degree):
-            if not invariant_matches_base_image_at(ring, degree):
-                return False
-        elif base_ring_classes_at(ring, degree):
-            return False
-    return True
+    Off the base lattice both sides are empty.
+    """
+    return all(
+        invariant_matches_base_image_at(ring, degree)
+        for degree in box_degrees(ring.n, window)
+        if ring.in_base_lattice(degree)
+    )

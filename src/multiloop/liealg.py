@@ -11,6 +11,7 @@ verified exhaustively at build time.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 
 from . import linalg
@@ -113,14 +114,24 @@ class SplitSimpleLieAlgebra:
             + [f"h{i + 1}" for i in range(rank)]
         )
 
-        self._build_structure()
-        self._build_killing()
-        self.verify_chevalley()
+        # The integer tables do not depend on the field: they are built and
+        # verified once per type, and only lifted for every further field.
+        key = (self.family, rank)
+        tables = _INTEGER_TABLES.get(key)
+        fresh = tables is None
+        if fresh:
+            self._int_struct = self._integer_structure()
+            tables = (self._int_struct, self._integer_killing())
+        self._int_struct, self._int_killing = tables
+        self._lift()
+        if fresh:
+            self.verify_chevalley()
+            _INTEGER_TABLES[key] = tables
 
     # -- construction --------------------------------------------------------
 
-    def _build_structure(self):
-        """Integer structure table, then its lift to field scalars.
+    def _integer_structure(self):
+        """Structure table over Z: (i, j) -> nonzero (k, c) pairs of [b_i, b_j].
 
         The constants are integers (N = +-(p+1), coroot and Cartan pairings),
         so the table is built and verified over Z; the lift Z -> Q(zeta_M) is
@@ -160,17 +171,10 @@ class SplitSimpleLieAlgebra:
                 pairing = rs.pairing(a, t)
                 if pairing:
                     put(h0 + t, ia, [(ia, pairing)])
-        self._int_struct = table
-        lift = {c: self.field.scalar(c) for entries in table.values() for _, c in entries}
-        self.struct = {
-            key: tuple((k, lift[c]) for k, c in entries) for key, entries in table.items()
-        }
-        # _rows[i][j] = [b_i, b_j] as (k, c) pairs, for the bracket's inner loop
-        self._rows = [{} for _ in range(self.dim)]
-        for (i, j), entries in self.struct.items():
-            self._rows[i][j] = entries
+        return table
 
-    def _build_killing(self):
+    def _integer_killing(self):
+        """Killing matrix over Z, as the trace of ad_i ad_j on the integer table."""
         table = self._int_struct
         d = self.dim
         maps = {key: dict(entries) for key, entries in table.items()}
@@ -191,7 +195,20 @@ class SplitSimpleLieAlgebra:
                         if w:
                             total += v * w
                 kill[i][j] = kill[j][i] = total
-        lift = {c: self.field.scalar(c) for row in kill for c in set(row)}
+        return kill
+
+    def _lift(self):
+        """Field-scalar copies of the integer structure table and Killing matrix."""
+        table, kill = self._int_struct, self._int_killing
+        lift = {c: self.field.scalar(c) for entries in table.values() for _, c in entries}
+        lift.update((c, self.field.scalar(c)) for row in kill for c in row)
+        self.struct = {
+            key: tuple((k, lift[c]) for k, c in entries) for key, entries in table.items()
+        }
+        # _rows[i][j] = [b_i, b_j] as (k, c) pairs, for the bracket's inner loop
+        self._rows = [{} for _ in range(self.dim)]
+        for (i, j), entries in self.struct.items():
+            self._rows[i][j] = entries
         self.killing_matrix = [[lift[c] for c in row] for row in kill]
         self._killing_rows = [
             tuple((j, lift[c]) for j, c in enumerate(row) if c) for row in kill
@@ -307,6 +324,8 @@ class SplitSimpleLieAlgebra:
 
 
 _ALGEBRA_CACHE = {}
+# (family, rank) -> verified (integer structure table, integer Killing matrix)
+_INTEGER_TABLES = {}
 
 
 def build_algebra(family: str, rank: int, field: CyclotomicField | None = None):
@@ -417,8 +436,7 @@ class LieAutomorphism:
         return self.compose(other).columns == other.compose(self).columns
 
     def is_identity(self) -> bool:
-        alg = self.algebra
-        return self.columns == tuple(tuple(alg.basis_vector(i)) for i in range(alg.dim))
+        return self.columns == _identity_columns(self.algebra)
 
     def __eq__(self, other):
         return (
@@ -434,17 +452,37 @@ class LieAutomorphism:
         return self.eigenspace(self.algebra.field.one)
 
     def eigenspace(self, eigenvalue):
-        alg = self.algebra
-        rows = []
-        for r in range(alg.dim):
-            row = [self.columns[c][r] for c in range(alg.dim)]
-            row[r] = row[r] - eigenvalue
-            rows.append(row)
-        return linalg.nullspace(rows, alg.dim, alg.field)
+        return _joint_eigenspace(self.algebra, [(self.columns, eigenvalue)])
 
     def matrix_records(self):
         return [[str(self.columns[j][i]) for j in range(self.algebra.dim)]
                 for i in range(self.algebra.dim)]
+
+
+def _joint_eigenspace(algebra, pairs):
+    """Basis of {x : M x = lam x for every (columns of M, lam) in pairs}: the
+    nullspace of the stacked rows of M - lam I."""
+    dim = algebra.dim
+    rows = []
+    for columns, eigenvalue in pairs:
+        for r in range(dim):
+            row = [columns[c][r] for c in range(dim)]
+            row[r] = row[r] - eigenvalue
+            rows.append(row)
+    return linalg.nullspace(rows, dim, algebra.field)
+
+
+def _check_commuting_family(algebra, autos, orders):
+    """Each map acts on the algebra, a^m = id for its order m, and all commute."""
+    ident = identity_automorphism(algebra)
+    for i, (a, m) in enumerate(zip(autos, orders)):
+        if a.algebra is not algebra:
+            raise MismatchError("automorphisms act on different algebras")
+        if a ** m != ident:
+            raise StructureError(f"automorphism {i} does not satisfy a^{m} = id")
+    for (i, a), (j, b) in combinations(enumerate(autos), 2):
+        if not a.commutes_with(b):
+            raise StructureError(f"automorphisms {i} and {j} do not commute")
 
 
 def identity_automorphism(algebra) -> LieAutomorphism:
@@ -544,35 +582,16 @@ class EigenspaceDecomposition:
                 raise MismatchError(
                     f"field conductor {field.conductor} lacks the order-{m} roots of unity"
                 )
-        ident = identity_automorphism(algebra)
-        for a, m in zip(autos, orders):
-            if a.algebra is not algebra:
-                raise MismatchError("automorphisms act on different algebras")
-            if a ** m != ident:
-                raise StructureError(f"automorphism order does not divide {m}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not autos[i].commutes_with(autos[j]):
-                    raise StructureError(f"automorphisms {i} and {j} do not commute")
+        _check_commuting_family(algebra, autos, orders)
 
         self.components = {}
-        residues = [()]
-        for m in orders:
-            residues = [r + (i,) for r in residues for i in range(m)]
         total = 0
         stacked = []
-        for res in residues:
-            rows = []
-            for a, m, i in zip(autos, orders, res):
-                lam = field.root_of_unity(m, i)
-                for r in range(algebra.dim):
-                    row = [a.columns[c][r] for c in range(algebra.dim)]
-                    row[r] = row[r] - lam
-                    rows.append(row)
-            if rows:
-                basis = linalg.nullspace(rows, algebra.dim, field)
-            else:
-                basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+        for res in product(*(range(m) for m in orders)):
+            basis = _joint_eigenspace(
+                algebra,
+                [(a.columns, field.root_of_unity(m, i)) for a, m, i in zip(autos, orders, res)],
+            )
             self.components[res] = tuple(tuple(v) for v in basis)
             total += len(basis)
             stacked.extend(basis)
@@ -610,13 +629,13 @@ def simultaneous_eigenspaces(autos, orders) -> EigenspaceDecomposition:
     return EigenspaceDecomposition(autos[0].algebra, autos, orders)
 
 
-def is_central_simple(algebra, basis) -> bool:
-    """Killing nondegeneracy of the subalgebra plus one-dimensional adjoint commutant."""
+def _subalgebra_killing(algebra, basis):
+    """(ad, kill) of the subalgebra with this basis: ad[i][r][c] is the b_r
+    coefficient of [b_i, b_c], kill[i][j] the trace of ad_i ad_j.  Raises when
+    the basis is dependent or its span is not closed under the bracket."""
     field = algebra.field
     basis = [list(v) for v in basis]
     d = len(basis)
-    if d == 0:
-        return False
     solver = linalg.SpanSolver(field, basis)
     if solver.dim != d:
         raise StructureError("subalgebra basis is linearly dependent")
@@ -637,6 +656,16 @@ def is_central_simple(algebra, basis) -> bool:
                     tr = tr + ad[i][r][c] * ad[j][c][r]
             kill[i][j] = tr
             kill[j][i] = tr
+    return ad, kill
+
+
+def is_central_simple(algebra, basis) -> bool:
+    """Killing nondegeneracy of the subalgebra plus one-dimensional adjoint commutant."""
+    field = algebra.field
+    d = len(basis)
+    if d == 0:
+        return False
+    ad, kill = _subalgebra_killing(algebra, basis)
     if not linalg.det(kill, field):
         return False
     elim = linalg.SparseEliminator(field)

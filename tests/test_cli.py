@@ -261,3 +261,18 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim_g"] == 3
+
+
+def test_structure_error_in_a_command_exits_1(capsys, monkeypatch):
+    from multiloop import checks
+    from multiloop.errors import StructureError
+
+    def failing(session):
+        raise StructureError("constraint rows are inconsistent")
+
+    monkeypatch.setitem(checks._CHECKS, "jacobi", failing)
+    code, out, err = run_cli(
+        capsys, "check", "jacobi", "--spec", str(SPECS / "a1_untwisted_n1.json")
+    )
+    assert code == 1 and not out
+    assert err == "error: constraint rows are inconsistent\n"

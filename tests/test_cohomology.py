@@ -4,6 +4,8 @@ import pytest
 
 from multiloop.cohomology import (
     WindowedCochain,
+    _in_box,
+    _window_triples,
     canonical_slice,
     coboundary,
     cochain_from_function,
@@ -265,3 +267,27 @@ def test_cochain_evaluate_bilinearity(a2_twisted):
     cls = ext.cocycle(x, y)
     slots = slot_indices(ext.ring, (0,))
     assert P.evaluate(x, y) == tuple(cls.component((0,))[i] for i in slots)
+
+
+def brute_force_triples(basis, lam, window):
+    """The plain i < j < k scan over a flat window basis."""
+    out = []
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            for k in range(j + 1, len(basis)):
+                di, dj, dk = basis[i][0], basis[j][0], basis[k][0]
+                if tuple(a + b + c for a, b, c in zip(di, dj, dk)) != lam:
+                    continue
+                sums = [tuple(a + b for a, b in zip(p, q)) for p, q in ((di, dj), (dj, dk), (dk, di))]
+                if all(_in_box(d, window) for d in sums):
+                    out.append((i, j, k))
+    return out
+
+
+@pytest.mark.parametrize("name,window,lam", [("a1_n2", 2, (0, 0)), ("a2_twisted", 3, (1,))])
+def test_window_triples_match_brute_force(request, name, window, lam):
+    tw = request.getfixturevalue(name).twisted
+    basis = tw.window_basis(window)
+    expected = brute_force_triples(basis, lam, window)
+    assert expected
+    assert list(_window_triples(basis, lam, window)) == expected

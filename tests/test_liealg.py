@@ -260,3 +260,12 @@ def test_structure_records_are_antisymmetric():
     records = {(r["i"], r["j"], r["k"]): r["c"] for r in alg.structure_records()}
     for (i, j, k), c in records.items():
         assert records[(j, i, k)] == str(alg.field.parse(c) * -1)
+
+
+def test_integer_tables_shared_across_fields():
+    b3_q = build_algebra("B", 3, CyclotomicField(1))
+    b3_i = build_algebra("B", 3, CyclotomicField(2))
+    assert b3_q is not b3_i and b3_i.field.conductor == 2
+    assert b3_q._int_struct is b3_i._int_struct
+    assert b3_q._int_killing is b3_i._int_killing
+    assert b3_i.structure_records() == b3_q.structure_records()
