@@ -260,13 +260,15 @@ def coboundary(twisted, lam, window: int, tau) -> WindowedCochain:
         raise MismatchError("tau must assign a value to each lam-component basis vector")
     vdim = len(tau[0]) if tau else 1
 
+    support = [[(t, v) for t, v in enumerate(row) if v] for row in tau]
+
     def fill(mu, nu, a, b):
         x = twisted.component_basis(mu)[a]
         y = twisted.component_basis(nu)[b]
         out = [field.zero] * vdim
         for r, c in _bracket_coords(twisted, x, y):
-            for t in range(vdim):
-                out[t] = out[t] - c * tau[r][t]
+            for t, v in support[r]:
+                out[t] = out[t] - c * v
         return tuple(out)
 
     return cochain_from_function(twisted, lam, window, vdim, fill)
@@ -340,12 +342,17 @@ def _constraint_rows(ext: CentralExtension, index: CochainIndex):
     tw = ext.twisted
     zero = tw.field.zero
     basis = tw.window_basis(index.window)
+    brackets = {}  # (first, second) -> _bracket_coords of that ordered pair
 
     def absorb(row, first, second, other):
-        """Add the terms of P([first, second], other) to the row."""
-        pair_deg = tuple(a + b for a, b in zip(first[0], second[0]))
-        for r, c in _bracket_coords(tw, first[2], second[2]):
-            res = index.unknown(pair_deg, other[0], r, other[1])
+        """Add the terms of P([b_first, b_second], b_other) to the row."""
+        (d1, _, x), (d2, _, y), (d3, pos, _) = basis[first], basis[second], basis[other]
+        coords = brackets.get((first, second))
+        if coords is None:
+            coords = brackets[(first, second)] = _bracket_coords(tw, x, y)
+        pair_deg = tuple(a + b for a, b in zip(d1, d2))
+        for r, c in coords:
+            res = index.unknown(pair_deg, d3, r, pos)
             if res is not None:
                 uid, sign = res
                 cur = row.get(uid, zero) + (c if sign == 1 else -c)
@@ -357,9 +364,9 @@ def _constraint_rows(ext: CentralExtension, index: CochainIndex):
     rows = []
     for i, j, k in _window_triples(basis, index.lam, index.window):
         row = {}
-        absorb(row, basis[i], basis[j], basis[k])
-        absorb(row, basis[j], basis[k], basis[i])
-        absorb(row, basis[k], basis[i], basis[j])
+        absorb(row, i, j, k)
+        absorb(row, j, k, i)
+        absorb(row, k, i, j)
         if row:
             rows.append(row)
     return rows
@@ -389,16 +396,19 @@ def cocycle_space_report(ext: CentralExtension, lam, window: int, vdim: int = 1)
     dim_lam = tw.component_dim(lam)
     field = tw.field
     b2 = 0
-    for t in range(dim_lam):
-        tau = [
-            (field.one,) if r == t else (field.zero,) for r in range(dim_lam)
+    if dim_lam:
+        # d of the identity tau: coordinate t is d of the t-th unit tau
+        identity = [
+            [field.one if r == t else field.zero for t in range(dim_lam)]
+            for r in range(dim_lam)
         ]
-        db = coboundary(tw, lam, window, tau)
-        vec = index.vector_of(db)
-        if vec and not constraints.dot_is_zero(vec):
-            raise StructureError("a coboundary violates the windowed constraints")
-        if boundaries.add(dict(vec)):
-            b2 += 1
+        db = coboundary(tw, lam, window, identity)
+        for t in range(dim_lam):
+            vec = index.vector_of(db, t)
+            if vec and not constraints.dot_is_zero(vec):
+                raise StructureError("a coboundary violates the windowed constraints")
+            if boundaries.add(dict(vec)):
+                b2 += 1
 
     slice_cochain = canonical_slice(ext, lam, window)
     lower = 0

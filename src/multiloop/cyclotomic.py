@@ -157,9 +157,18 @@ class CyclotomicField:
     # -- inverse -------------------------------------------------------------
 
     def _inv(self, a: "CyclotomicNumber") -> "CyclotomicNumber":
-        # extended Euclid in Q[x] against the cyclotomic polynomial
         if not any(a.num):
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        if not any(a.num[1:]):
+            # rational: den/n0, already coprime; the sign moves to the numerator
+            n0, den = a.num[0], a.den
+            if n0 < 0:
+                n0, den = -n0, -den
+            return CyclotomicNumber(self, (den,) + self._tail, n0)
+        return self._euclid_inv(a)
+
+    def _euclid_inv(self, a: "CyclotomicNumber") -> "CyclotomicNumber":
+        # extended Euclid in Q[x] against the cyclotomic polynomial
         r0, r1 = [Fraction(c) for c in self.minpoly], list(a.coeffs)
         s0, s1 = [], [_ONE]
         while True:

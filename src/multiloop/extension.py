@@ -218,17 +218,23 @@ class CentralExtension:
                 if not (self.cocycle(x, y) + self.cocycle(y, x)).is_zero():
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
         lb = self.loopalg.bracket
+        table = {
+            (i, j): lb(x, y)
+            for i, x in enumerate(basis)
+            for j, y in enumerate(basis)
+            if i != j
+        }
         for i, x in enumerate(basis):
             for j in range(i + 1, len(basis)):
                 y = basis[j]
-                xy = lb(x, y)
+                xy = table[(i, j)]
                 for k in range(j + 1, len(basis)):
                     z = basis[k]
                     ntriples += 1
                     total = (
                         self.cocycle(xy, z)
-                        + self.cocycle(lb(y, z), x)
-                        + self.cocycle(lb(z, x), y)
+                        + self.cocycle(table[(j, k)], x)
+                        + self.cocycle(table[(k, i)], y)
                     )
                     if not total.is_zero():
                         failures.append({"kind": "cocycle", "triple": [i, j, k]})
@@ -331,12 +337,16 @@ class CentralExtension:
         if not candidates:
             return 0
         gens = self.twisted.window_basis(generator_window)
+        frames = {}  # generator degree -> frame of the output degree
+        for gdeg, _, _ in gens:
+            if gdeg not in frames:
+                out_deg = tuple(a + b for a, b in zip(degree, gdeg))
+                frames[gdeg] = ExtendedFrame(self, [out_deg])
         columns = []
         for cand in candidates:
             col = []
             for gdeg, _, gel in gens:
-                out_deg = tuple(a + b for a, b in zip(degree, gdeg))
-                frame = ExtendedFrame(self, [out_deg])
+                frame = frames[gdeg]
                 X = self.bracket(self.from_loop(cand), self.from_loop(gel))
                 col.extend(frame.coords(X))
             columns.append(col)

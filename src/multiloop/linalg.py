@@ -2,6 +2,9 @@
 
 Vectors are lists/tuples of CyclotomicNumber.  Pivoting is deterministic
 (first nonzero column, rows in input order) so computed bases are canonical.
+`SpanSolver` keeps its basis in reduced echelon form (each row is 1 at its
+own pivot and 0 at every other pivot), so reading a vector against the span
+is a sparse subtraction, not an elimination.
 """
 
 from __future__ import annotations
@@ -98,76 +101,104 @@ def solve_system(rows, rhs, field):
 class SpanSolver:
     """Incremental span of a list of vectors with coordinate recovery.
 
-    Keeps an echelon basis of the span together with the expression of each
-    echelon row as a combination of the input vectors, so `coords` can write
-    any member of the span in terms of the original generators.
+    Keeps a reduced echelon basis of the span: each basis row has a pivot
+    column where it is 1, and every row is 0 at every other row's pivot.  A
+    row is stored as its pivot plus the sparse (column -> value) map of its
+    entries off the pivot columns, together with the sparse expression of the
+    row as a combination of the input vectors.  So a member x of the span is
+    sum_p x[p] E_p: `residual`, `contains` and `coords` read x at the pivots
+    and subtract over nonzeros, with no elimination.  The independent inputs
+    are chosen greedily in input order; a dependent input gets coefficient 0
+    in every combination.
     """
 
     def __init__(self, field, vectors=()):
         self.field = field
-        self.echelon = []  # rows in echelon form
-        self.pivots = []
-        self.combos = []  # combos[i][j]: coefficient of input vector j in echelon row i
+        self.rows = []  # rows[i]: {col: value} of echelon row i off the pivot columns
+        self.combos = []  # combos[i]: {input index: coefficient} giving echelon row i
+        self._row_of = {}  # pivot column -> row index
         self.n_inputs = 0
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self):
-        return len(self.echelon)
+        return len(self.rows)
+
+    def _reduce(self, vector):
+        """(hits, rest): (row index, x[p]) for the pivots where x is nonzero,
+        and the nonzeros of x minus sum x[p] E_p, all off the pivot columns."""
+        row_of = self._row_of
+        hits, rest = [], {}
+        for j, v in enumerate(vector):
+            if v:
+                i = row_of.get(j)
+                if i is None:
+                    rest[j] = v
+                else:
+                    hits.append((i, v))
+        for i, c in hits:
+            _axpy(rest, -c, self.rows[i])
+        return hits, rest
 
     def add(self, vector) -> bool:
         """Insert a generator; returns True if it enlarged the span."""
-        row = list(vector)
-        combo = [self.field.zero] * self.n_inputs + [self.field.one]
-        for c in self.combos:
-            c.append(self.field.zero)
+        index = self.n_inputs
         self.n_inputs += 1
-        for erow, pcol, ecombo in zip(self.echelon, self.pivots, self.combos):
-            c = row[pcol]
-            if c:
-                for j in range(len(row)):
-                    row[j] = row[j] - c * erow[j]
-                for j in range(self.n_inputs):
-                    combo[j] = combo[j] - c * ecombo[j]
-        pivot = next((j for j in range(len(row)) if row[j]), None)
-        if pivot is None:
+        hits, rest = self._reduce(vector)
+        if not rest:
             return False
-        inv = row[pivot].inverse()
-        row = [x * inv for x in row]
-        combo = [x * inv for x in combo]
-        self.echelon.append(row)
-        self.pivots.append(pivot)
+        pivot = min(rest)
+        inv = rest.pop(pivot).inverse()
+        row = {j: v * inv for j, v in rest.items()}
+        combo = {index: inv}
+        for i, c in hits:
+            _axpy(combo, -(c * inv), self.combos[i])
+        # back-substitute, so the new pivot column is zero in every earlier row
+        for erow, ecombo in zip(self.rows, self.combos):
+            c = erow.pop(pivot, None)
+            if c is not None:
+                _axpy(erow, -c, row)
+                _axpy(ecombo, -c, combo)
+        self._row_of[pivot] = len(self.rows)
+        self.rows.append(row)
         self.combos.append(combo)
         return True
 
     def residual(self, vector):
-        """vector minus its projection onto the span (exact row reduction)."""
-        row = list(vector)
-        for erow, pcol in zip(self.echelon, self.pivots):
-            c = row[pcol]
-            if c:
-                for j in range(len(row)):
-                    row[j] = row[j] - c * erow[j]
-        return row
+        """The unique vector of vector + span that is zero at every pivot."""
+        out = [self.field.zero] * len(vector)
+        for j, v in self._reduce(vector)[1].items():
+            out[j] = v
+        return out
 
     def contains(self, vector) -> bool:
-        return not any(self.residual(vector))
+        return not self._reduce(vector)[1]
 
     def coords(self, vector):
         """Coefficients over the input vectors, or None if outside the span."""
-        row = list(vector)
-        coeffs = [self.field.zero] * self.n_inputs
-        for erow, pcol, ecombo in zip(self.echelon, self.pivots, self.combos):
-            c = row[pcol]
-            if c:
-                for j in range(len(row)):
-                    row[j] = row[j] - c * erow[j]
-                for j in range(self.n_inputs):
-                    coeffs[j] = coeffs[j] + c * ecombo[j]
-        if any(row):
+        hits, rest = self._reduce(vector)
+        if rest:
             return None
+        coeffs = [self.field.zero] * self.n_inputs
+        for i, c in hits:
+            for k, e in self.combos[i].items():
+                coeffs[k] = coeffs[k] + c * e
         return coeffs
+
+
+def _axpy(target: dict, a, source: dict) -> None:
+    """target += a * source on sparse maps, dropping entries that cancel."""
+    for k, v in source.items():
+        cur = target.get(k)
+        if cur is None:
+            target[k] = a * v
+        else:
+            cur = cur + a * v
+            if cur:
+                target[k] = cur
+            else:
+                del target[k]
 
 
 class SparseEliminator:

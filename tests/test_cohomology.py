@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from multiloop import linalg
 from multiloop.cohomology import (
+    CochainIndex,
     WindowedCochain,
+    _bracket_coords,
+    _constraint_rows,
     _in_box,
     _window_triples,
     canonical_slice,
@@ -291,3 +295,68 @@ def test_window_triples_match_brute_force(request, name, window, lam):
     expected = brute_force_triples(basis, lam, window)
     assert expected
     assert list(_window_triples(basis, lam, window)) == expected
+
+
+def unmemoised_constraint_rows(ext, index):
+    """The cocycle-identity rows with every bracket recomputed per triple."""
+    tw = ext.twisted
+    zero = tw.field.zero
+    basis = tw.window_basis(index.window)
+    rows = []
+    for i, j, k in _window_triples(basis, index.lam, index.window):
+        row = {}
+        for first, second, other in ((i, j, k), (j, k, i), (k, i, j)):
+            (d1, _, x), (d2, _, y), (d3, pos, _) = basis[first], basis[second], basis[other]
+            pair_deg = tuple(a + b for a, b in zip(d1, d2))
+            for r, c in _bracket_coords(tw, x, y):
+                res = index.unknown(pair_deg, d3, r, pos)
+                if res is not None:
+                    uid, sign = res
+                    cur = row.get(uid, zero) + (c if sign == 1 else -c)
+                    if cur:
+                        row[uid] = cur
+                    elif uid in row:
+                        del row[uid]
+        if row:
+            rows.append(row)
+    return rows
+
+
+def unit_tau_coboundaries(tw, index):
+    """d of each unit tau on the lam component, one coboundary call each."""
+    field = tw.field
+    dim_lam = tw.component_dim(index.lam)
+    out = []
+    for t in range(dim_lam):
+        tau = [(field.one,) if r == t else (field.zero,) for r in range(dim_lam)]
+        out.append(index.vector_of(coboundary(tw, index.lam, index.window, tau)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,window,lam",
+    [("a1_n2", 2, (0, 0)), ("a2_twisted", 3, (1,)), ("d4_triality", 1, (0,))],
+)
+def test_assembly_matches_unmemoised_reference(monkeypatch, request, name, window, lam):
+    ext = request.getfixturevalue(name).ext
+    index = CochainIndex(ext.twisted, lam, window)
+    rows = _constraint_rows(ext, index)
+    expected_rows = unmemoised_constraint_rows(ext, index)
+    assert rows
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected_rows]
+
+    fed = {}  # eliminator -> rows added, in order
+    original = linalg.SparseEliminator.add
+
+    def recording_add(eliminator, row):
+        fed.setdefault(id(eliminator), []).append(dict(row))
+        return original(eliminator, row)
+
+    monkeypatch.setattr(linalg.SparseEliminator, "add", recording_add)
+    report = cocycle_space_report(ext, lam, window)
+    constraints_fed, boundaries_fed = fed.values()
+    assert constraints_fed == expected_rows
+    expected_b2 = unit_tau_coboundaries(ext.twisted, index)
+    assert expected_b2 and any(expected_b2)
+    assert boundaries_fed[: len(expected_b2)] == expected_b2
+    assert report["constraints"] == len(expected_rows)

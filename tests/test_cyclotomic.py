@@ -79,6 +79,25 @@ def test_division_by_zero():
         field.one / field.zero
 
 
+@pytest.mark.parametrize("conductor", [1, 3, 12])
+def test_rational_inverse_fast_path_matches_euclid(conductor):
+    field = CyclotomicField(conductor)
+    values = [1, -1, 3, -3, 12, -7]
+    values += [Fraction(1, 3), Fraction(-2, 9), Fraction(15, 4), Fraction(-5, 6)]
+    for value in values:
+        a = field.scalar(value)
+        fast, euclid = field._inv(a), field._euclid_inv(a)
+        assert (fast.num, fast.den) == (euclid.num, euclid.den)
+        assert fast.den > 0
+        assert a.inverse() == fast == field.one / a == field.scalar(1 / Fraction(value))
+    with pytest.raises(ZeroDivisionError):
+        field.one / field.zero
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / field.zero
+
+
 @pytest.mark.parametrize("conductor", CONDUCTORS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

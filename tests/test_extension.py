@@ -3,7 +3,9 @@ import random
 import pytest
 
 from multiloop.errors import MismatchError
+from multiloop.extension import ExtendedFrame
 from multiloop.kaehler import class_basis_at
+from multiloop.laurent import box_degrees
 
 
 def test_cocycle_rank1_value(a1_n1):
@@ -100,6 +102,25 @@ def test_centre_window_n2(a1_n2):
     nonzero = [k for k in rep["per_degree"] if k != "[0, 0]"]
     assert all(rep["per_degree"][k]["centre_dim"] == 1 for k in nonzero)
     assert rep["centre_dim"] == 10
+
+
+def test_loop_kernel_builds_one_frame_per_generator_degree(monkeypatch, a2_twisted):
+    ext = a2_twisted.ext
+    built = []
+    original = ExtendedFrame.__init__
+
+    def counting_init(frame, ext_, degrees):
+        built.append(tuple(degrees))
+        original(frame, ext_, degrees)
+
+    monkeypatch.setattr(ExtendedFrame, "__init__", counting_init)
+    gen_degrees = {d for d, _, _ in ext.twisted.window_basis(2)}
+    for degree in box_degrees(1, 1):
+        built.clear()
+        assert ext._loop_kernel_dim(degree, 2) == 0
+        assert ext.twisted.component_dim(degree)
+        assert len(built) <= len(gen_degrees)
+        assert len(set(built)) == len(built)
 
 
 def test_centre_generator_window_guard(a1_n1):
