@@ -167,15 +167,6 @@ class WindowedCochain:
         return WindowedCochain(self.twisted, self.lam, self.window, len(vec), comp)
 
 
-def _bracket_coords(twisted, x, y):
-    """Nonzero (position, coefficient) pairs of [x, y] in its component basis;
-    x and y are homogeneous, so [x, y] lies in one component."""
-    out = []
-    for e, gv in twisted.loopalg.bracket(x, y).terms.items():
-        out.extend((r, c) for r, c in enumerate(twisted.component_coords(e, gv)) if c)
-    return out
-
-
 def _window_triples(basis, lam, window: int):
     """Index triples i < j < k, in lexicographic order, of a `window_basis` list
     with d_i + d_j + d_k = lam and every pairwise sum (lam - d) in the window.
@@ -263,10 +254,8 @@ def coboundary(twisted, lam, window: int, tau) -> WindowedCochain:
     support = [[(t, v) for t, v in enumerate(row) if v] for row in tau]
 
     def fill(mu, nu, a, b):
-        x = twisted.component_basis(mu)[a]
-        y = twisted.component_basis(nu)[b]
         out = [field.zero] * vdim
-        for r, c in _bracket_coords(twisted, x, y):
+        for r, c in twisted.pair(mu, a, nu, b)[0]:
             for t, v in support[r]:
                 out[t] = out[t] - c * v
         return tuple(out)
@@ -342,16 +331,12 @@ def _constraint_rows(ext: CentralExtension, index: CochainIndex):
     tw = ext.twisted
     zero = tw.field.zero
     basis = tw.window_basis(index.window)
-    brackets = {}  # (first, second) -> _bracket_coords of that ordered pair
 
     def absorb(row, first, second, other):
         """Add the terms of P([b_first, b_second], b_other) to the row."""
-        (d1, _, x), (d2, _, y), (d3, pos, _) = basis[first], basis[second], basis[other]
-        coords = brackets.get((first, second))
-        if coords is None:
-            coords = brackets[(first, second)] = _bracket_coords(tw, x, y)
+        (d1, a1, _), (d2, a2, _), (d3, pos, _) = basis[first], basis[second], basis[other]
         pair_deg = tuple(a + b for a, b in zip(d1, d2))
-        for r, c in coords:
+        for r, c in tw.pair(d1, a1, d2, a2)[0]:
             res = index.unknown(pair_deg, d3, r, pos)
             if res is not None:
                 uid, sign = res
@@ -481,13 +466,14 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
     lam = P.lam
     field = tw.field
     dim_lam = tw.component_dim(lam)
-    g0 = tw.component_basis((0,) * tw.ring.n)
+    zero_degree = (0,) * tw.ring.n
+    g0 = tw.component_basis(zero_degree)
     lam_basis = tw.component_basis(lam)
     rows, rhs = [], []
-    for x in lam_basis:
-        for y in g0:
+    for a, x in enumerate(lam_basis):
+        for b, y in enumerate(g0):
             row = [field.zero] * dim_lam
-            for r, c in _bracket_coords(tw, x, y):
+            for r, c in tw.pair(lam, a, zero_degree, b)[0]:
                 row[r] = c
             rows.append(row)
             rhs.append(P.evaluate(x, y))

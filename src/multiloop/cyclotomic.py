@@ -385,11 +385,6 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def multiplicative_order(self, bound: int = 10_000) -> int:
         """Smallest j >= 1 with self^j == 1; raises if none up to bound."""
         acc = self

@@ -16,7 +16,6 @@ from .liealg import (
     EigenspaceDecomposition,
     LieAutomorphism,
     SplitSimpleLieAlgebra,
-    _check_commuting_family,
     _joint_eigenspace,
     identity_automorphism,
 )
@@ -163,14 +162,6 @@ class LoopElement:
             out.append({"exp": list(e), "vec": [str(x) for x in self.terms[e]]})
         return out
 
-    @classmethod
-    def from_json(cls, parent: LoopAlgebra, data) -> "LoopElement":
-        out = parent.zero()
-        for term in data:
-            vec = [parent.field.parse(x) for x in term["vec"]]
-            out = out + parent.pure(vec, tuple(term["exp"]))
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -191,7 +182,7 @@ class LoopElement:
 class DescentCocycle:
     """Constant cocycle u_g = (prod_i v_i^{g_i}) tensor id on the loop algebra."""
 
-    def __init__(self, loopalg: LoopAlgebra, generators, orders, verify_law: bool = True):
+    def __init__(self, loopalg: LoopAlgebra, generators, orders):
         self.loopalg = loopalg
         self.generators = tuple(generators)
         self.orders = tuple(int(m) for m in orders)
@@ -199,11 +190,10 @@ class DescentCocycle:
             raise MismatchError("one generator image per Galois factor is required")
         if self.orders != loopalg.ring.orders:
             raise MismatchError("cocycle orders do not match the ring")
-        # only constant cocycles over an abelian family are supported
-        _check_commuting_family(loopalg.algebra, self.generators, self.orders)
+        if any(v.algebra is not loopalg.algebra for v in self.generators):
+            raise MismatchError("automorphisms act on different algebras")
         self._values = {}
-        if verify_law:
-            self._verify_constant_law()
+        self._verify_constant_law()
 
     def value(self, g: GaloisElement) -> LieAutomorphism:
         key = g.components
@@ -217,13 +207,15 @@ class DescentCocycle:
         return cached
 
     def _verify_constant_law(self):
+        """u_(g+e_i) = u_g v_i for every g and i, which gives u_(g+h) = u_g u_h by
+        induction on h.  It also decides that the family is one of commuting maps
+        with v_i^(m_i) = id: g = (m_i - 1) e_i gives v_i^(m_i) = u_0 = id (also
+        for m_i = 1), and g = e_j, j > i, gives v_i v_j = v_j v_i."""
         group = self.loopalg.ring.group
-        elems = group.elements()
-        for g in elems:
-            for h in elems:
-                lhs = self.value(g + h)
-                rhs = self.value(g).compose(self.value(h))
-                if lhs.columns != rhs.columns:
+        units = [group.generator(i) for i in range(group.n)]
+        for g in group.elements():
+            for e, v in zip(units, self.generators):
+                if self.value(g + e).columns != self.value(g).compose(v).columns:
                     raise StructureError("constant cocycle law u_(g+h) = u_g u_h fails")
 
     def apply(self, g: GaloisElement, x: LoopElement) -> LoopElement:
@@ -249,6 +241,7 @@ class TwistedLoopAlgebra:
             loopalg, [s.inverse() for s in self.sigmas], self.orders
         )
         self._components = {}  # degree -> basis of the component, built on first use
+        self._pairs = {}  # (residue, a, residue, b) -> pair(...), filled on first use
 
     # -- components -----------------------------------------------------------
 
@@ -274,6 +267,26 @@ class TwistedLoopAlgebra:
     def component_coords(self, degree, gvec):
         """Coordinates of a g-vector in the eigen-adapted component basis."""
         return self.eigen.coords(self.residue(degree), list(gvec))
+
+    def pair(self, mu, a: int, nu, b: int):
+        """[x_a (x) s^mu, y_b (x) s^nu] for basis vectors of the components at mu
+        and nu: its nonzero (r, c) coordinates in the component basis of mu + nu,
+        and kappa(x_a, y_b).  Both depend on the residues of mu and nu only, so
+        the table holds one entry per (residue, a, residue, b)."""
+        key = (self.residue(mu), a, self.residue(nu), b)
+        entry = self._pairs.get(key)
+        if entry is None:
+            x = list(self.eigen.component(key[0])[a])
+            y = list(self.eigen.component(key[2])[b])
+            degree = tuple(p + q for p, q in zip(mu, nu))
+            coords = self.component_coords(degree, self.algebra.bracket(x, y))
+            if coords is None:
+                raise StructureError(f"a bracket at {degree} is not in the descended algebra")
+            entry = self._pairs[key] = (
+                tuple((r, c) for r, c in enumerate(coords) if c),
+                self.algebra.killing(x, y),
+            )
+        return entry
 
     def component_direct(self, degree):
         """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the

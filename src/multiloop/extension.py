@@ -69,59 +69,6 @@ class ExtendedElement:
         return f"<loop {self.loop} | central {self.central.to_text()}>"
 
 
-class ExtendedFrame:
-    """Flat coordinates for extended elements supported on a fixed degree list.
-
-    Loop coordinates use the eigen-adapted component bases; central
-    coordinates use the canonical class slots at base-lattice degrees.
-    """
-
-    def __init__(self, ext: "CentralExtension", degrees):
-        self.ext = ext
-        tw = ext.twisted
-        ring = ext.ring
-        self.loop_offset, self.loop_dim = {}, {}
-        self.central_offset, self.central_slots = {}, {}
-        off = 0
-        for d in degrees:
-            d = tuple(d)
-            k = tw.component_dim(d)
-            self.loop_offset[d] = off
-            self.loop_dim[d] = k
-            off += k
-        for d in degrees:
-            d = tuple(d)
-            if ring.in_base_lattice(d):
-                slots = slot_indices(ring, d)
-                self.central_offset[d] = off
-                self.central_slots[d] = slots
-                off += len(slots)
-        self.size = off
-
-    def coords(self, X: ExtendedElement):
-        field = self.ext.field
-        out = [field.zero] * self.size
-        tw = self.ext.twisted
-        for e, gv in X.loop.terms.items():
-            base = self.loop_offset.get(e)
-            if base is None:
-                raise StructureError(f"loop degree {e} outside the coordinate frame")
-            c = tw.component_coords(e, gv)
-            if c is None:
-                raise StructureError(f"loop part at {e} is not in the descended algebra")
-            for i, v in enumerate(c):
-                out[base + i] = v
-        for d, vec in X.central.coords.items():
-            base = self.central_offset.get(d)
-            if base is None:
-                raise StructureError(
-                    f"central degree {d} outside the frame or not base-invariant"
-                )
-            for pos, slot in enumerate(self.central_slots[d]):
-                out[base + pos] = vec[slot]
-        return out
-
-
 class CentralExtension:
     """The extension of a twisted loop algebra by differential classes."""
 
@@ -206,38 +153,74 @@ class CentralExtension:
 
     # -- verification suites ----------------------------------------------------
 
+    def _add_bracket(self, loop, raw, mu, coords, nu, b):
+        """Add [z, y_b (x) s^nu] for z = sum of c x_s (x) s^mu over the (s, c) in
+        coords: its component coordinates into loop, and its raw class vector
+        kappa * nu at the degree mu + nu (before reduction) into raw."""
+        pair = self.twisted.pair
+        w = self.field.zero
+        for s, c in coords:
+            inner, kappa = pair(mu, s, nu, b)
+            for t, e in inner:
+                loop[t] = loop[t] + c * e
+            if kappa:
+                w = w + c * kappa
+        if w:
+            for i, e in enumerate(nu):
+                if e:
+                    raw[i] = raw[i] + w * e
+
+    def _pair_sum(self, *terms):
+        """The sum of [x_a (x) s^mu, y_b (x) s^nu] over the (mu, a, nu, b) in terms,
+        all with one degree mu + nu: its component coordinates and its class."""
+        one, zero = self.field.one, self.field.zero
+        mu, _, nu, _ = terms[0]
+        degree = tuple(p + q for p, q in zip(mu, nu))
+        loop = [zero] * self.twisted.component_dim(degree)
+        raw = [zero] * self.ring.n
+        for mu, a, nu, b in terms:
+            self._add_bracket(loop, raw, mu, ((a, one),), nu, b)
+        return loop, CentralClass(self.ring, {degree: raw})
+
+    def _cyclic_sums(self, basis):
+        """(i, j, k, loop, central) for the triples i < j < k of a window basis:
+        the component coordinates and the class of the cyclic sum
+        [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j].
+
+        The raw class vector is summed over the three terms and reduced once.
+        """
+        tw = self.twisted
+        zero = self.field.zero
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                for k in range(j + 1, len(basis)):
+                    degree = tuple(
+                        x + y + z for x, y, z in zip(basis[i][0], basis[j][0], basis[k][0])
+                    )
+                    loop = [zero] * tw.component_dim(degree)
+                    raw = [zero] * self.ring.n
+                    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                        (dp, ap, _), (dq, aq, _), (dr, ar, _) = basis[p], basis[q], basis[r]
+                        coords = tw.pair(dp, ap, dq, aq)[0]
+                        pq_degree = tuple(x + y for x, y in zip(dp, dq))
+                        self._add_bracket(loop, raw, pq_degree, coords, dr, ar)
+                    yield i, j, k, loop, CentralClass(self.ring, {degree: raw})
+
     def cocycle_checks(self, window: int) -> dict:
         """Antisymmetry and the 2-cocycle identity on the window basis."""
-        basis = [el for _, _, el in self.twisted.window_basis(window)]
+        basis = self.twisted.window_basis(window)
         failures = []
         npairs = ntriples = 0
-        for i, x in enumerate(basis):
+        for i, (mu, a, _) in enumerate(basis):
             for j in range(i, len(basis)):
-                y = basis[j]
+                nu, b, _ = basis[j]
                 npairs += 1
-                if not (self.cocycle(x, y) + self.cocycle(y, x)).is_zero():
+                if not self._pair_sum((mu, a, nu, b), (nu, b, mu, a))[1].is_zero():
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
-        lb = self.loopalg.bracket
-        table = {
-            (i, j): lb(x, y)
-            for i, x in enumerate(basis)
-            for j, y in enumerate(basis)
-            if i != j
-        }
-        for i, x in enumerate(basis):
-            for j in range(i + 1, len(basis)):
-                y = basis[j]
-                xy = table[(i, j)]
-                for k in range(j + 1, len(basis)):
-                    z = basis[k]
-                    ntriples += 1
-                    total = (
-                        self.cocycle(xy, z)
-                        + self.cocycle(table[(j, k)], x)
-                        + self.cocycle(table[(k, i)], y)
-                    )
-                    if not total.is_zero():
-                        failures.append({"kind": "cocycle", "triple": [i, j, k]})
+        for i, j, k, _, central in self._cyclic_sums(basis):
+            ntriples += 1
+            if not central.is_zero():
+                failures.append({"kind": "cocycle", "triple": [i, j, k]})
         return {
             "passed": not failures,
             "basis_size": len(basis),
@@ -250,38 +233,34 @@ class CentralExtension:
         """Jacobi for the extension bracket on the extended window basis.
 
         Brackets against a central element vanish identically (the bracket
-        only reads loop parts), so after the antisymmetry/centrality pair
-        scan every Jacobi triple involving a central basis vector is zero
-        term by term; the triple scan therefore runs over loop triples.
+        only reads loop parts): the pair scan checks this with the element
+        bracket, and checks antisymmetry of loop pairs on the pair table.  So
+        every Jacobi triple involving a central basis vector is zero term by
+        term, and the triple scan runs over loop triples.
         """
         basis = self.extended_window_basis(window)
-        loop_basis = [X for X in basis if not X.loop.is_zero()]
+        loop_basis = self.twisted.window_basis(window)
+        nl = len(loop_basis)
         failures = []
         npairs = ntriples = 0
         for i, x in enumerate(basis):
             for j in range(i, len(basis)):
                 npairs += 1
-                if not (self.bracket(x, basis[j]) + self.bracket(basis[j], x)).is_zero():
+                if j < nl:
+                    (mu, a, _), (nu, b, _) = loop_basis[i], loop_basis[j]
+                    loop, central = self._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+                    broken = any(loop) or not central.is_zero()
+                else:
+                    y = basis[j]
+                    broken = not (self.bracket(x, y) + self.bracket(y, x)).is_zero()
+                if broken:
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
-                if x.loop.is_zero() and not self.bracket(x, basis[j]).is_zero():
+                if i >= nl and not self.bracket(x, basis[j]).is_zero():
                     failures.append({"kind": "centrality", "pair": [i, j]})
-        nb = len(loop_basis)
-        table = {}
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                table[(i, j)] = self.bracket(loop_basis[i], loop_basis[j])
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                xy = table[(i, j)]
-                for k in range(j + 1, nb):
-                    ntriples += 1
-                    total = (
-                        self.bracket(xy, loop_basis[k])
-                        + self.bracket(table[(j, k)], loop_basis[i])
-                        - self.bracket(table[(i, k)], loop_basis[j])
-                    )
-                    if not total.is_zero():
-                        failures.append({"kind": "jacobi", "triple": [i, j, k]})
+        for i, j, k, loop, central in self._cyclic_sums(loop_basis):
+            ntriples += 1
+            if any(loop) or not central.is_zero():
+                failures.append({"kind": "jacobi", "triple": [i, j, k]})
         return {
             "passed": not failures,
             "basis_size": len(basis),
@@ -330,28 +309,32 @@ class CentralExtension:
             "expected": sum(v["expected"] for v in per_degree.values()),
         }
 
+    def _pair_coords(self, mu, a: int, nu, b: int):
+        """Coordinates of [x_a (x) s^mu, y_b (x) s^nu] in the extension at mu + nu:
+        the component coordinates, then the class slots when mu + nu is in the
+        base lattice."""
+        degree = tuple(p + q for p, q in zip(mu, nu))
+        out, cls = self._pair_sum((mu, a, nu, b))
+        if self.ring.in_base_lattice(degree):
+            vec = cls.component(degree)
+            out.extend(vec[i] for i in slot_indices(self.ring, degree))
+        elif not cls.is_zero():
+            raise StructureError(f"central degree {degree} is not base-invariant")
+        return out
+
     def _loop_kernel_dim(self, degree, generator_window: int) -> int:
         """dim of loop directions at the degree killed by all generator brackets."""
         degree = tuple(degree)
-        candidates = self.twisted.component_basis(degree)
-        if not candidates:
+        dim = self.twisted.component_dim(degree)
+        if not dim:
             return 0
         gens = self.twisted.window_basis(generator_window)
-        frames = {}  # generator degree -> frame of the output degree
-        for gdeg, _, _ in gens:
-            if gdeg not in frames:
-                out_deg = tuple(a + b for a, b in zip(degree, gdeg))
-                frames[gdeg] = ExtendedFrame(self, [out_deg])
-        columns = []
-        for cand in candidates:
-            col = []
-            for gdeg, _, gel in gens:
-                frame = frames[gdeg]
-                X = self.bracket(self.from_loop(cand), self.from_loop(gel))
-                col.extend(frame.coords(X))
-            columns.append(col)
+        columns = [
+            [x for gdeg, gpos, _ in gens for x in self._pair_coords(degree, a, gdeg, gpos)]
+            for a in range(dim)
+        ]
         rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-        return len(linalg.nullspace(rows, len(candidates), self.field))
+        return len(linalg.nullspace(rows, dim, self.field))
 
     def perfectness(self, window: int, margin: int = 1) -> dict:
         """Every window basis vector of the extension as a bracket combination.
@@ -365,9 +348,14 @@ class CentralExtension:
         big = window + margin
         witnesses, uncovered = [], []
         tw = self.twisted
+        field = self.field
         for degree in box_degrees(self.ring.n, window):
-            frame = ExtendedFrame(self, [degree])
-            if frame.size == 0:
+            # the loop basis, then the class basis: target t is the t-th unit vector
+            targets = [("loop", pos) for pos in range(tw.component_dim(degree))]
+            targets += [
+                ("central", pos) for pos in range(len(_invariant_classes_at(self.ring, degree)))
+            ]
+            if not targets:
                 continue
             # pairs (a, b) with a before b in window_basis(big), [a, b] of this degree
             pairs = []
@@ -376,25 +364,19 @@ class CentralExtension:
                 bdeg = tuple(d - a for d, a in zip(degree, adeg))
                 if bdeg < adeg or any(abs(b) > big for b in bdeg):
                     continue
-                bbasis = tw.component_basis(bdeg)
-                for apos, ael in enumerate(tw.component_basis(adeg)):
-                    for bpos in range(apos if bdeg == adeg else 0, len(bbasis)):
-                        X = self.bracket(self.from_loop(ael), self.from_loop(bbasis[bpos]))
-                        if X.is_zero():
+                bdim = tw.component_dim(bdeg)
+                for apos in range(tw.component_dim(adeg)):
+                    for bpos in range(apos if bdeg == adeg else 0, bdim):
+                        vec = self._pair_coords(adeg, apos, bdeg, bpos)
+                        if not any(vec):
                             continue
-                        pairs.append(
-                            {"a": [list(adeg), apos], "b": [list(bdeg), bpos]}
-                        )
-                        vectors.append(frame.coords(X))
-            solver = linalg.SpanSolver(self.field, vectors)
-            targets = [
-                ("loop", pos, self.from_loop(el))
-                for pos, el in enumerate(tw.component_basis(degree))
-            ]
-            for pos, c in enumerate(_invariant_classes_at(self.ring, degree)):
-                targets.append(("central", pos, self.from_central(c)))
-            for kind, pos, target in targets:
-                coeffs = solver.coords(frame.coords(target))
+                        pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
+                        vectors.append(vec)
+            solver = linalg.SpanSolver(field, vectors)
+            for t, (kind, pos) in enumerate(targets):
+                unit = [field.zero] * len(targets)
+                unit[t] = field.one
+                coeffs = solver.coords(unit)
                 if coeffs is None:
                     uncovered.append({"degree": list(degree), "kind": kind, "pos": pos})
                 else:

@@ -347,9 +347,6 @@ class LaurentPoly:
     def in_base_ring(self) -> bool:
         return all(self.ring.in_base_lattice(e) for e in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -194,9 +194,6 @@ class RootSystem:
 
     # -- strings and decompositions ------------------------------------------
 
-    def is_root(self, v) -> bool:
-        return tuple(v) in self.all_roots
-
     def string_down(self, alpha, beta) -> int:
         """p = max k with beta - k*alpha a root (the alpha-string through beta)."""
         p = 0

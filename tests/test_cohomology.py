@@ -6,7 +6,6 @@ from multiloop import linalg
 from multiloop.cohomology import (
     CochainIndex,
     WindowedCochain,
-    _bracket_coords,
     _constraint_rows,
     _in_box,
     _window_triples,
@@ -297,6 +296,16 @@ def test_window_triples_match_brute_force(request, name, window, lam):
     assert list(_window_triples(basis, lam, window)) == expected
 
 
+def bracket_coords(twisted, x, y):
+    """Nonzero (position, coefficient) pairs of [x, y] in its component basis,
+    through the element bracket; x and y are homogeneous, so [x, y] lies in
+    one component."""
+    out = []
+    for e, gv in twisted.loopalg.bracket(x, y).terms.items():
+        out.extend((r, c) for r, c in enumerate(twisted.component_coords(e, gv)) if c)
+    return out
+
+
 def unmemoised_constraint_rows(ext, index):
     """The cocycle-identity rows with every bracket recomputed per triple."""
     tw = ext.twisted
@@ -308,7 +317,7 @@ def unmemoised_constraint_rows(ext, index):
         for first, second, other in ((i, j, k), (j, k, i), (k, i, j)):
             (d1, _, x), (d2, _, y), (d3, pos, _) = basis[first], basis[second], basis[other]
             pair_deg = tuple(a + b for a, b in zip(d1, d2))
-            for r, c in _bracket_coords(tw, x, y):
+            for r, c in bracket_coords(tw, x, y):
                 res = index.unknown(pair_deg, d3, r, pos)
                 if res is not None:
                     uid, sign = res

@@ -8,6 +8,7 @@ from multiloop.descent import DescentCocycle, LoopAlgebra, TwistedLoopAlgebra
 from multiloop.errors import MismatchError, StructureError
 from multiloop.laurent import LaurentRing
 from multiloop.liealg import LieAutomorphism, build_algebra, diagram_automorphism
+from tests.conftest import make_session
 
 
 def random_loop_element(tw, rng, span=2):
@@ -179,6 +180,43 @@ def test_cocycle_rejects_non_commuting():
     la = LoopAlgebra(alg, ring)
     with pytest.raises(StructureError):
         TwistedLoopAlgebra(la, [sigma, tau], (2, 2))
+
+
+def test_session_validates_the_commuting_family_once(monkeypatch):
+    calls = {"pow": 0, "commutes": 0}
+    pow_, commutes = LieAutomorphism.__pow__, LieAutomorphism.commutes_with
+
+    def counting_pow(self, exponent):
+        calls["pow"] += 1
+        return pow_(self, exponent)
+
+    def counting_commutes(self, other):
+        calls["commutes"] += 1
+        return commutes(self, other)
+
+    monkeypatch.setattr(LieAutomorphism, "__pow__", counting_pow)
+    monkeypatch.setattr(LieAutomorphism, "commutes_with", counting_commutes)
+    make_session("A", 1, [{"kind": "identity"}, {"kind": "identity"}], [1, 1], window=1)
+    assert calls["pow"] <= 2
+    assert calls["commutes"] <= 1
+
+
+@pytest.mark.parametrize("name,window", [("d4_triality", 1), ("a1_n2", 2), ("a2_twisted", 2)])
+def test_pair_table_matches_the_element_path(request, name, window):
+    tw = request.getfixturevalue(name).twisted
+    alg = tw.algebra
+    basis = tw.window_basis(window)
+    for mu, a, x in basis:
+        for nu, b, y in basis:
+            degree = tuple(p + q for p, q in zip(mu, nu))
+            xy = tw.loopalg.bracket(x, y)
+            assert set(xy.terms) <= {degree}
+            expected = tw.component_coords(degree, xy.component(degree))
+            coords, kappa = tw.pair(mu, a, nu, b)
+            assert list(coords) == [(r, c) for r, c in enumerate(expected) if c]
+            assert kappa == alg.killing(list(x.component(mu)), list(y.component(nu)))
+    dims = [len(v) for v in tw.eigen.components.values()]
+    assert len(tw._pairs) <= sum(p * q for p in dims for q in dims)
 
 
 def test_order3_twist_membership(d4_triality):

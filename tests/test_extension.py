@@ -3,9 +3,8 @@ import random
 import pytest
 
 from multiloop.errors import MismatchError
-from multiloop.extension import ExtendedFrame
 from multiloop.kaehler import class_basis_at
-from multiloop.laurent import box_degrees
+from tests.conftest import make_session
 
 
 def test_cocycle_rank1_value(a1_n1):
@@ -102,25 +101,6 @@ def test_centre_window_n2(a1_n2):
     nonzero = [k for k in rep["per_degree"] if k != "[0, 0]"]
     assert all(rep["per_degree"][k]["centre_dim"] == 1 for k in nonzero)
     assert rep["centre_dim"] == 10
-
-
-def test_loop_kernel_builds_one_frame_per_generator_degree(monkeypatch, a2_twisted):
-    ext = a2_twisted.ext
-    built = []
-    original = ExtendedFrame.__init__
-
-    def counting_init(frame, ext_, degrees):
-        built.append(tuple(degrees))
-        original(frame, ext_, degrees)
-
-    monkeypatch.setattr(ExtendedFrame, "__init__", counting_init)
-    gen_degrees = {d for d, _, _ in ext.twisted.window_basis(2)}
-    for degree in box_degrees(1, 1):
-        built.clear()
-        assert ext._loop_kernel_dim(degree, 2) == 0
-        assert ext.twisted.component_dim(degree)
-        assert len(built) <= len(gen_degrees)
-        assert len(set(built)) == len(built)
 
 
 def test_centre_generator_window_guard(a1_n1):
@@ -227,3 +207,23 @@ def test_extended_element_json(a1_n1):
     )
     data = X.to_json()
     assert set(data) == {"loop", "central"}
+
+
+def test_suites_catch_a_corrupted_structure_constant_and_killing_value(monkeypatch):
+    # a fresh session: the pair table of a shared fixture may already be filled
+    session = make_session("A", 1, [{"kind": "identity"}], [1])
+    alg, ext = session.algebra, session.ext
+    e, f, h = (alg.labels.index(name) for name in ("x[1]", "x[-1]", "h1"))
+    two = alg.field.scalar(2)
+    # [e, f] = 2h instead of h, and kappa(e, f) doubled, each in one order only
+    monkeypatch.setitem(alg._rows[e], f, ((h, two),))
+    kill = list(alg._killing_rows)
+    kill[e] = tuple((j, c * two if j == f else c) for j, c in kill[e])
+    monkeypatch.setattr(alg, "_killing_rows", kill)
+    assert alg.bracket(alg.e(0), alg.f(0)) != [-x for x in alg.bracket(alg.f(0), alg.e(0))]
+    jacobi = ext.extended_jacobi(1)
+    assert not jacobi["passed"]
+    assert {"jacobi", "antisymmetry"} & {fail["kind"] for fail in jacobi["failures"]}
+    cocycle = ext.cocycle_checks(1)
+    assert not cocycle["passed"]
+    assert {"cocycle", "antisymmetry"} & {fail["kind"] for fail in cocycle["failures"]}

@@ -2,8 +2,9 @@
 
 Each file under `tests/golden/` is the verbatim stdout of one command, e.g.
 `python -m multiloop check all --spec specs/d4_triality.json` is stored as
-`d4_triality.check-all.json`.  A refactor of the arithmetic or the suites
-must reproduce every report exactly.
+`d4_triality.check-all.json`.  The `-w3` files rerun `check all` and `centre`
+one window above the spec's, where degree sums leave the window.  A refactor
+of the arithmetic or the suites must reproduce every report exactly.
 """
 
 from pathlib import Path
@@ -24,6 +25,10 @@ COMMANDS = {
     "dump-sc": ["dump-sc"],
     "h2": ["h2", "--lambda"],
 }
+# (spec, command) pairs also recorded at `--window 3`
+WINDOW_3 = [
+    (spec, name) for spec in ("a1_untwisted_n1", "a2_twisted") for name in ("check-all", "centre")
+]
 
 
 def _argv(spec, name):
@@ -38,3 +43,11 @@ def test_cli_output_matches_snapshot(capsys, spec, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{spec}.{name}.json").read_text()
+
+
+@pytest.mark.parametrize("spec, name", WINDOW_3)
+def test_cli_output_one_window_up_matches_snapshot(capsys, spec, name):
+    code = cli.main(_argv(spec, name) + ["--window", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{spec}.{name}-w3.json").read_text()
