@@ -255,7 +255,7 @@ def coboundary(twisted, lam, window: int, tau) -> WindowedCochain:
 
     def fill(mu, nu, a, b):
         out = [field.zero] * vdim
-        for r, c in twisted.pair(mu, a, nu, b)[0]:
+        for r, c in twisted._pair_bracket(mu, a, nu, b):
             for t, v in support[r]:
                 out[t] = out[t] - c * v
         return tuple(out)
@@ -336,7 +336,7 @@ def _constraint_rows(ext: CentralExtension, index: CochainIndex):
         """Add the terms of P([b_first, b_second], b_other) to the row."""
         (d1, a1, _), (d2, a2, _), (d3, pos, _) = basis[first], basis[second], basis[other]
         pair_deg = tuple(a + b for a, b in zip(d1, d2))
-        for r, c in tw.pair(d1, a1, d2, a2)[0]:
+        for r, c in tw._pair_bracket(d1, a1, d2, a2):
             res = index.unknown(pair_deg, d3, r, pos)
             if res is not None:
                 uid, sign = res
@@ -473,7 +473,7 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
     for a, x in enumerate(lam_basis):
         for b, y in enumerate(g0):
             row = [field.zero] * dim_lam
-            for r, c in tw.pair(lam, a, zero_degree, b)[0]:
+            for r, c in tw._pair_bracket(lam, a, zero_degree, b):
                 row[r] = c
             rows.append(row)
             rhs.append(P.evaluate(x, y))

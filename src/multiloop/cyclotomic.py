@@ -225,6 +225,15 @@ class CyclotomicField:
 
 def _reduced(field, num, den):
     """num/den in canonical form: den > 0 and gcd(den, *num) == 1."""
+    if len(num) == 1:
+        (n,) = num
+        g = gcd(den, n)
+        if den < 0:
+            g = -g
+        if g != 1:
+            n //= g
+            den //= g
+        return CyclotomicNumber(field, (n,), den)
     g = gcd(den, *num)
     if den < 0:
         g = -g
@@ -271,6 +280,18 @@ class CyclotomicNumber:
             if other is None:
                 return NotImplemented
         d1, d2 = self.den, other.den
+        if self.field.degree == 1:
+            # over Q: one int pair and one gcd
+            if d1 == d2:
+                n = self.num[0] + other.num[0]
+            else:
+                n, d1 = self.num[0] * d2 + other.num[0] * d1, d1 * d2
+            if d1 != 1:
+                g = gcd(d1, n)
+                if g != 1:
+                    n //= g
+                    d1 //= g
+            return CyclotomicNumber(self.field, (n,), d1)
         if d1 == d2:
             num = tuple(map(add, self.num, other.num))
             if d1 == 1:
@@ -290,6 +311,18 @@ class CyclotomicNumber:
             if other is None:
                 return NotImplemented
         d1, d2 = self.den, other.den
+        if self.field.degree == 1:
+            # over Q: one int pair and one gcd
+            if d1 == d2:
+                n = self.num[0] - other.num[0]
+            else:
+                n, d1 = self.num[0] * d2 - other.num[0] * d1, d1 * d2
+            if d1 != 1:
+                g = gcd(d1, n)
+                if g != 1:
+                    n //= g
+                    d1 //= g
+            return CyclotomicNumber(self.field, (n,), d1)
         if d1 == d2:
             num = tuple(map(sub, self.num, other.num))
             if d1 == 1:
@@ -306,6 +339,16 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if other.__class__ is not CyclotomicNumber or other.field is not self.field:
+            if other.__class__ is int:
+                # num * (k/g) over den/g with g = gcd(k, den) is canonical as it stands
+                num, den = self.num, self.den
+                g = gcd(other, den)
+                if g != 1:
+                    other //= g
+                    den //= g
+                if len(num) == 1:
+                    return CyclotomicNumber(self.field, (num[0] * other,), den)
+                return CyclotomicNumber(self.field, tuple(c * other for c in num), den)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -336,6 +379,17 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if other.__class__ is int:
+            # num / g over den * (k/g) with g = gcd(k, *num), its sign taken from k
+            if not other:
+                raise ZeroDivisionError("division by zero in cyclotomic field")
+            num = self.num
+            g = gcd(other, *num)
+            if other < 0:
+                g = -g
+            if g != 1:
+                num = tuple(c // g for c in num)
+            return CyclotomicNumber(self.field, num, self.den * (other // g))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

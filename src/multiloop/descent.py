@@ -241,7 +241,10 @@ class TwistedLoopAlgebra:
             loopalg, [s.inverse() for s in self.sigmas], self.orders
         )
         self._components = {}  # degree -> basis of the component, built on first use
-        self._pairs = {}  # (residue, a, residue, b) -> pair(...), filled on first use
+        # (residue, a, residue, b) -> bracket coordinates, and -> Killing value;
+        # each filled on first use, so a caller of coordinates only computes no kappa
+        self._pairs = {}
+        self._pair_kappas = {}
 
     # -- components -----------------------------------------------------------
 
@@ -274,19 +277,29 @@ class TwistedLoopAlgebra:
         and kappa(x_a, y_b).  Both depend on the residues of mu and nu only, so
         the table holds one entry per (residue, a, residue, b)."""
         key = (self.residue(mu), a, self.residue(nu), b)
-        entry = self._pairs.get(key)
-        if entry is None:
+        coords = self._pairs.get(key)
+        if coords is None:
+            coords = self._pair_bracket(mu, a, nu, b)
+        kappa = self._pair_kappas.get(key)
+        if kappa is None:
+            x = list(self.eigen.component(key[0])[a])
+            y = list(self.eigen.component(key[2])[b])
+            kappa = self._pair_kappas[key] = self.algebra.killing(x, y)
+        return coords, kappa
+
+    def _pair_bracket(self, mu, a: int, nu, b: int):
+        """The coordinates of `pair` alone, without its Killing value."""
+        key = (self.residue(mu), a, self.residue(nu), b)
+        coords = self._pairs.get(key)
+        if coords is None:
             x = list(self.eigen.component(key[0])[a])
             y = list(self.eigen.component(key[2])[b])
             degree = tuple(p + q for p, q in zip(mu, nu))
-            coords = self.component_coords(degree, self.algebra.bracket(x, y))
-            if coords is None:
+            full = self.component_coords(degree, self.algebra.bracket(x, y))
+            if full is None:
                 raise StructureError(f"a bracket at {degree} is not in the descended algebra")
-            entry = self._pairs[key] = (
-                tuple((r, c) for r, c in enumerate(coords) if c),
-                self.algebra.killing(x, y),
-            )
-        return entry
+            coords = self._pairs[key] = tuple((r, c) for r, c in enumerate(full) if c)
+        return coords
 
     def component_direct(self, degree):
         """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the

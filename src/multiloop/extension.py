@@ -201,7 +201,7 @@ class CentralExtension:
                     raw = [zero] * self.ring.n
                     for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
                         (dp, ap, _), (dq, aq, _), (dr, ar, _) = basis[p], basis[q], basis[r]
-                        coords = tw.pair(dp, ap, dq, aq)[0]
+                        coords = tw._pair_bracket(dp, ap, dq, aq)
                         pq_degree = tuple(x + y for x, y in zip(dp, dq))
                         self._add_bracket(loop, raw, pq_degree, coords, dr, ar)
                     yield i, j, k, loop, CentralClass(self.ring, {degree: raw})

@@ -10,6 +10,8 @@ degree 0 keeps all n coordinates (classes of s_i^{-1} ds_i).
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from . import linalg
 from .errors import MismatchError
 from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
@@ -25,7 +27,7 @@ class DifferentialForm:
         if len(comps) != ring.n:
             raise MismatchError(f"expected {ring.n} components, got {len(comps)}")
         for c in comps:
-            if c.ring != ring:
+            if c.ring is not ring and c.ring != ring:
                 raise MismatchError("component from a different ring")
         self.ring = ring
         self.comps = comps
@@ -72,16 +74,18 @@ class DifferentialForm:
 
     def graded_pieces(self):
         """Map degree alpha -> coefficient vector (c_1..c_n) of s^(alpha-e_i) ds_i."""
-        field = self.ring.field
+        ring = self.ring
+        zero = ring.field.zero
         out = {}
         for i, comp in enumerate(self.comps):
+            unit = ring._units[i]
+            # distinct beta in one component give distinct degrees: slot i is set once
             for beta, c in comp.terms.items():
-                degree = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
+                degree = tuple(map(add, beta, unit))
                 vec = out.get(degree)
                 if vec is None:
-                    vec = [field.zero] * self.ring.n
-                    out[degree] = vec
-                vec[i] = vec[i] + c
+                    vec = out[degree] = [zero] * ring.n
+                vec[i] = c
         return out
 
     def __str__(self):
@@ -94,17 +98,14 @@ class DifferentialForm:
 def differential(p: LaurentPoly) -> DifferentialForm:
     """d(s^alpha) = sum_i alpha_i s^(alpha - e_i) ds_i, extended linearly."""
     ring = p.ring
-    comps = [dict() for _ in range(ring.n)]
+    units = ring._units
+    comps = [{} for _ in units]
+    # distinct alpha give distinct alpha - e_i, and c * a != 0 for c != 0, a != 0
     for alpha, c in p.terms.items():
         for i, a in enumerate(alpha):
             if a:
-                e = tuple(x - (1 if j == i else 0) for j, x in enumerate(alpha))
-                cur = comps[i].get(e, ring.field.zero) + c * a
-                if cur:
-                    comps[i][e] = cur
-                elif e in comps[i]:
-                    del comps[i][e]
-    return DifferentialForm(ring, tuple(LaurentPoly(ring, t) for t in comps))
+                comps[i][tuple(map(sub, alpha, units[i]))] = c * a
+    return DifferentialForm(ring, tuple(LaurentPoly._nonzero(ring, t) for t in comps))
 
 
 def pivot_index(degree) -> int | None:
@@ -122,15 +123,18 @@ def slot_indices(ring: LaurentRing, degree):
 
 
 def _reduce_vector(ring, degree, vec):
-    field = ring.field
     p = pivot_index(degree)
     out = list(vec)
     if p is not None and out[p]:
-        factor = out[p] / field.scalar(degree[p])
-        for i, a in enumerate(degree):
+        # subtract (out[p] / degree[p]) * degree; the pivot slot becomes zero
+        factor = None
+        for i in range(p + 1, ring.n):
+            a = degree[i]
             if a:
-                out[i] = out[i] - factor * field.scalar(a)
-        out[p] = field.zero
+                if factor is None:
+                    factor = out[p] / degree[p]
+                out[i] = out[i] - factor * a
+        out[p] = ring.field.zero
     return out
 
 

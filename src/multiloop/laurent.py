@@ -7,10 +7,10 @@ Galois group G = prod Z/m_i acts by monomial characters s_i -> zeta_{m_i} s_i.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .cyclotomic import CyclotomicField, CyclotomicNumber
 from .errors import MismatchError
@@ -140,6 +140,10 @@ class LaurentRing:
         self.orders = tuple(int(m) for m in orders)
         self.n = len(self.orders)
         self.group = GaloisGroup(field, self.orders)
+        # unit exponent vectors e_1..e_n, to shift exponents with map(add/sub, ...)
+        self._units = tuple(
+            tuple(int(j == i) for j in range(self.n)) for i in range(self.n)
+        )
         self.zero = LaurentPoly(self, {})
         self.one = LaurentPoly(self, {(0,) * self.n: field.one})
 
@@ -247,9 +251,17 @@ class LaurentPoly:
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
 
+    @classmethod
+    def _nonzero(cls, ring: LaurentRing, terms: dict) -> "LaurentPoly":
+        """A polynomial over terms already free of zero coefficients, taken as is."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     def _check(self, other):
         if isinstance(other, LaurentPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise MismatchError("Laurent polynomials from different rings")
             return other
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -267,12 +279,12 @@ class LaurentPoly:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return LaurentPoly(self.ring, out)
+        return LaurentPoly._nonzero(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._nonzero(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -283,20 +295,27 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             c = self.ring.field.scalar(other)
-            return LaurentPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+            if not c:
+                return self.ring.zero
+            return LaurentPoly._nonzero(self.ring, {e: v * c for e, v in self.terms.items()})
         other = self._check(other)
         if other is None:
             return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, self.ring.field.zero) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(self.ring, out)
+                e = tuple(map(add, e1, e2))
+                v = out.get(e)
+                # a product of nonzero field elements is nonzero; a sum may cancel
+                if v is None:
+                    out[e] = c1 * c2
+                else:
+                    v = v + c1 * c2
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
+        return LaurentPoly._nonzero(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -376,18 +395,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<{self}>"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"exp": list(e), "c": str(self.terms[e])} for e in sorted(self.terms)
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, ring: LaurentRing, data) -> "LaurentPoly":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return ring.from_terms(
-            (tuple(t["exp"]), ring.field.parse(t["c"])) for t in data["terms"]
-        )

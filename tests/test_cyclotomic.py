@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,46 @@ def test_rational_inverse_fast_path_matches_euclid(conductor):
         field.zero.inverse()
     with pytest.raises(ZeroDivisionError):
         1 / field.zero
+
+
+def _is_canonical(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 12])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_int_fast_paths_are_exact_and_canonical(conductor, data):
+    field = CyclotomicField(conductor)
+    x = data.draw(field_elements(conductor))
+    for k in [0, 1, -1, 6, -6, 10**30]:
+        scalar = field.scalar(k)
+        for product in (x * k, k * x):
+            assert product == x * scalar
+            assert product.coeffs == tuple(c * k for c in x.coeffs)
+            assert _is_canonical(product)
+        if k:
+            quotient = x / k
+            assert quotient == x * scalar.inverse()
+            assert quotient.coeffs == tuple(c / k for c in x.coeffs)
+            assert _is_canonical(quotient)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+
+
+@pytest.mark.parametrize("conductor", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.fractions(max_denominator=60),
+    b=st.fractions(max_denominator=60),
+    k=st.integers(-20, 20),
+)
+def test_degree_one_add_and_sub_match_fractions(conductor, a, b, k):
+    field = CyclotomicField(conductor)
+    x, y = field.scalar(a), field.scalar(b)
+    cases = [(x + y, a + b), (x - y, a - b), (y - x, b - a), (x + k, a + k), (k - x, k - a)]
+    for got, want in cases:
+        assert (got.num, got.den) == ((want.numerator,), want.denominator)
 
 
 @pytest.mark.parametrize("conductor", CONDUCTORS)
