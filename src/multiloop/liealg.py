@@ -10,6 +10,7 @@ verified exhaustively at build time.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -174,27 +175,21 @@ class SplitSimpleLieAlgebra:
         return table
 
     def _integer_killing(self):
-        """Killing matrix over Z, as the trace of ad_i ad_j on the integer table."""
+        """Killing matrix over Z, as the trace of ad_i ad_j on the integer table:
+        the sum of (ad_i)_{c,r} (ad_j)_{r,c} = v w over the table entries
+        [b_i, b_r] -> v b_c and [b_j, b_c] -> w b_r."""
         table = self._int_struct
-        d = self.dim
-        maps = {key: dict(entries) for key, entries in table.items()}
-        # ad[i]: nonzero (r, c, v) with v the b_c coefficient of [b_i, b_r]
-        ad = [
-            [(r, c, v) for r in range(d) for c, v in table.get((i, r), ())]
-            for i in range(d)
-        ]
-        kill = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                # trace of ad_i ad_j = sum of (ad_i)_{c,r} (ad_j)_{r,c}
-                total = 0
-                for r, c, v in ad[i]:
-                    col = maps.get((j, c))
-                    if col:
-                        w = col.get(r)
-                        if w:
-                            total += v * w
-                kill[i][j] = kill[j][i] = total
+        # (c, r) -> nonzero (j, w) with w the b_r coefficient of [b_j, b_c]
+        by_pair = defaultdict(list)
+        for (j, c), entries in table.items():
+            for r, w in entries:
+                by_pair[(c, r)].append((j, w))
+        kill = [[0] * self.dim for _ in range(self.dim)]
+        for (i, r), entries in table.items():
+            row = kill[i]
+            for c, v in entries:
+                for j, w in by_pair[(c, r)]:
+                    row[j] += v * w
         return kill
 
     def _lift(self):
@@ -279,8 +274,16 @@ class SplitSimpleLieAlgebra:
     def verify_chevalley(self):
         """Exhaustive antisymmetry + Jacobi on basis triples; Killing nondegeneracy.
 
-        The bracket identities are checked on the integer table (see
-        `_build_structure`).
+        The bracket identities are checked on the integer table built by
+        `_integer_structure`.  Each cyclic term (a, (b, c)) of the Jacobi defect
+        of i < j < k is a sum of products of two table entries, (b, c) -> m and
+        (a, m) -> t.  A triple with no such pair in any of its three terms has
+        defect 0 by that formula, so the scan evaluates only the others: a in
+        partners[m] = {y : (y, m) in the table} and {b, c} in makers[m] =
+        {(j, k) : j < k, m in [b_j, b_k]} for some m.  Antisymmetry, checked
+        first, lets these indexes ignore the order within a pair.  Candidates
+        are evaluated in lexicographic order, so a failure names the first
+        failing triple of the all-triples scan.
         """
         table = self._int_struct
         for (i, j), entries in table.items():
@@ -290,13 +293,27 @@ class SplitSimpleLieAlgebra:
         for i in range(self.dim):
             if (i, i) in table:
                 raise StructureError(f"[b_{i}, b_{i}] != 0")
+        partners, makers = defaultdict(list), defaultdict(list)
+        for (y, m), entries in table.items():
+            partners[m].append(y)
+            if y < m:
+                for t, _ in entries:
+                    makers[t].append((y, m))
         for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    if self._jacobi_defect(i, j, k):
-                        raise StructureError(
-                            f"Jacobi fails on basis triple ({i},{j},{k})"
+            # the pairs (j, k), i < j < k, of the triples whose least index is i
+            pairs = set()
+            for x in partners[i]:
+                # i the outer factor of [b_i, [b_j, b_k]] with x in [b_j, b_k]
+                pairs.update((j, k) for j, k in makers[x] if j > i)
+                if x > i:
+                    # i, x the inner pair, m in [b_i, b_x], a the outer factor
+                    for m, _ in table.get((i, x), ()):
+                        pairs.update(
+                            (a, x) if a < x else (x, a) for a in partners[m] if a > i and a != x
                         )
+            for j, k in sorted(pairs):
+                if self._jacobi_defect(i, j, k):
+                    raise StructureError(f"Jacobi fails on basis triple ({i},{j},{k})")
         if not linalg.det(self.killing_matrix, self.field):
             raise StructureError("Killing form is degenerate")
 
@@ -313,10 +330,14 @@ class SplitSimpleLieAlgebra:
     # -- serialization ------------------------------------------------------------
 
     def structure_records(self):
+        # `struct` lifts the integer table entry for entry: one string per value
+        text = {}
         out = []
-        for (i, j), entries in sorted(self.struct.items()):
+        for (i, j), entries in sorted(self._int_struct.items()):
             for k, c in entries:
-                out.append({"i": i, "j": j, "k": k, "c": str(c)})
+                if c not in text:
+                    text[c] = str(self.field.scalar(c))
+                out.append({"i": i, "j": j, "k": k, "c": text[c]})
         return out
 
     def __repr__(self):
@@ -340,23 +361,19 @@ def build_algebra(family: str, rank: int, field: CyclotomicField | None = None):
     return algebra
 
 
-def _apply_columns(algebra, columns, vec):
-    out = [algebra.field.zero] * algebra.dim
-    for j, a in enumerate(vec):
-        if a:
-            col = columns[j]
-            for t in range(algebra.dim):
-                if col[t]:
-                    out[t] = out[t] + a * col[t]
-    return out
+def _combine(columns, coeffs):
+    """Nonzero entries {t: x} of sum(c * columns[k]) over (k, c) in coeffs, for
+    columns given by their nonzero (t, x) pairs."""
+    acc = {}
+    for k, c in coeffs:
+        for t, x in columns[k]:
+            acc[t] = acc[t] + x * c if t in acc else x * c
+    return {t: x for t, x in acc.items() if x}
 
 
-def _compose_columns(algebra, a_cols, b_cols):
-    return tuple(tuple(_apply_columns(algebra, a_cols, col)) for col in b_cols)
-
-
-def _identity_columns(algebra):
-    return tuple(tuple(algebra.basis_vector(i)) for i in range(algebra.dim))
+def _compose_columns(a_cols, b_cols):
+    """Nonzero (t, x) pairs of each column of A B, from those of A and B."""
+    return tuple(tuple(sorted(_combine(a_cols, col).items())) for col in b_cols)
 
 
 class LieAutomorphism:
@@ -369,24 +386,31 @@ class LieAutomorphism:
             len(c) != algebra.dim for c in self.columns
         ):
             raise MismatchError("automorphism matrix has wrong shape")
+        # the nonzero (t, x) pairs of each column, which every walk below reads
+        self._nonzeros = tuple(
+            tuple((t, x) for t, x in enumerate(col) if x) for col in self.columns
+        )
         if validate:
             self._validate_bracket()
             order = self._validate_order(order)
         self.order = order
 
     def _validate_bracket(self):
-        alg = self.algebra
+        """A[b_i, b_j] = [A b_i, A b_j] for every basis pair i < j."""
+        alg, cols = self.algebra, self._nonzeros
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
-                entries = alg.struct.get((i, j), ())
-                lhs = alg.zero_vector()
-                for k, c in entries:
-                    col = self.columns[k]
-                    for t in range(alg.dim):
-                        if col[t]:
-                            lhs[t] = lhs[t] + c * col[t]
-                rhs = alg.bracket(self.columns[i], self.columns[j])
-                if lhs != rhs:
+                lhs = _combine(cols, alg.struct.get((i, j), ()))
+                rhs = {}
+                for s, a in cols[i]:
+                    row = alg._rows[s]
+                    for t, b in cols[j]:
+                        entries = row.get(t)
+                        if entries:
+                            ab = a * b
+                            for k, c in entries:
+                                rhs[k] = rhs[k] + ab * c if k in rhs else ab * c
+                if lhs != {k: x for k, x in rhs.items() if x}:
                     raise StructureError(
                         f"matrix does not preserve the bracket on basis pair ({i},{j})"
                     )
@@ -394,25 +418,36 @@ class LieAutomorphism:
     def _validate_order(self, declared: int) -> int:
         if declared < 1:
             raise StructureError("automorphism order must be positive")
-        ident = _identity_columns(self.algebra)
-        power = self.columns
+        one = self.algebra.field.one
+        ident = tuple(((i, one),) for i in range(self.algebra.dim))
+        power = self._nonzeros
         minimal = None
         for j in range(1, declared + 1):
             if power == ident:  # power holds A^j at the top of iteration j
                 minimal = j
                 break
-            power = _compose_columns(self.algebra, self.columns, power)
+            power = _compose_columns(self._nonzeros, power)
         if minimal is None or declared % minimal != 0:
             raise StructureError(f"matrix does not have order dividing {declared}")
         return minimal
 
     def apply(self, vec):
-        return _apply_columns(self.algebra, self.columns, vec)
+        out = [self.algebra.field.zero] * self.algebra.dim
+        for j, a in enumerate(vec):
+            if a:
+                for t, x in self._nonzeros[j]:
+                    out[t] = out[t] + a * x
+        return out
 
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
         if other.algebra is not self.algebra:
             raise MismatchError("automorphisms act on different algebras")
-        cols = _compose_columns(self.algebra, self.columns, other.columns)
+        cols = []
+        for col in _compose_columns(self._nonzeros, other._nonzeros):
+            dense = self.algebra.zero_vector()
+            for t, x in col:
+                dense[t] = x
+            cols.append(dense)
         bound = lcm(self.order, other.order)
         return LieAutomorphism(self.algebra, cols, order=bound, validate=False)
 
@@ -435,9 +470,6 @@ class LieAutomorphism:
     def commutes_with(self, other: "LieAutomorphism") -> bool:
         return self.compose(other).columns == other.compose(self).columns
 
-    def is_identity(self) -> bool:
-        return self.columns == _identity_columns(self.algebra)
-
     def __eq__(self, other):
         return (
             isinstance(other, LieAutomorphism)
@@ -447,9 +479,6 @@ class LieAutomorphism:
 
     def __hash__(self):
         return hash(self.columns)
-
-    def fixed_space(self):
-        return self.eigenspace(self.algebra.field.one)
 
     def eigenspace(self, eigenvalue):
         return _joint_eigenspace(self.algebra, [(self.columns, eigenvalue)])
@@ -507,7 +536,6 @@ def diagram_automorphism(algebra, perm) -> LieAutomorphism:
                 raise StructureError(f"{perm} does not preserve the Cartan matrix")
 
     field = algebra.field
-    N = _positive_pair_constants(rs)
     npos = algebra.npos
     images = {}
     for i in range(rank):
@@ -532,7 +560,8 @@ def diagram_automorphism(algebra, perm) -> LieAutomorphism:
             for alpha, beta in decs:
                 ia = algebra.index_of_root[tuple(sign * c for c in alpha)]
                 ib = algebra.index_of_root[tuple(sign * c for c in beta)]
-                coeff = field.scalar(sign * N[(alpha, beta)])
+                # [x_a, x_b] = c x_target in the verified table
+                coeff = field.scalar(dict(algebra._int_struct[(ia, ib)])[target_idx])
                 img = algebra.bracket(images[ia], images[ib])
                 inv = coeff.inverse()
                 img = [x * inv for x in img]

@@ -2,8 +2,9 @@
 
 Positive roots are integer vectors in the simple-root basis, enumerated by
 the root-string closure and totally ordered by height then lexicographic
-order.  Every non-simple positive root records its extraspecial
-decomposition, which pins down the structure-constant signs downstream.
+order, in which the first decomposition of a non-simple positive root is its
+extraspecial pair; that pair pins down the structure-constant signs
+downstream.  Root norms are integers, computed once per root.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _gcd(a, b):
 
 
 class RootSystem:
-    """Positive roots, root strings and extraspecial pairs for one simple type."""
+    """Positive roots, norms, root strings and decompositions for one simple type."""
 
     def __init__(self, family: str, rank: int):
         self.family = family.upper()
@@ -130,11 +131,7 @@ class RootSystem:
                 f"{self.family}{rank}: found {len(self.positive_roots)} positive roots, "
                 f"classification says {expected}"
             )
-        self.extraspecial = {}
-        for gamma in self.positive_roots:
-            decs = self.decompositions(gamma)
-            if decs:
-                self.extraspecial[gamma] = decs[0]
+        self._norms = {}
 
     def _enumerate(self):
         simple = []
@@ -168,28 +165,27 @@ class RootSystem:
         """<beta, alpha_i^vee> for beta in simple-root coordinates."""
         return sum(c * self.cartan[i][j] for j, c in enumerate(beta))
 
-    def bilinear(self, beta, gamma) -> Fraction:
-        """W-invariant form with (alpha_i, alpha_j) = d_i a_ij."""
-        total = Fraction(0)
-        for i, b in enumerate(beta):
-            if b:
-                for j, c in enumerate(gamma):
-                    if c:
-                        total += b * c * self.sym[i] * self.cartan[i][j]
-        return total
-
-    def norm(self, beta) -> Fraction:
-        return self.bilinear(beta, beta)
+    def norm(self, beta) -> int:
+        """(beta, beta) for the W-invariant form (alpha_i, alpha_j) = d_i a_ij,
+        which is integral; memoised per root."""
+        n = self._norms.get(beta)
+        if n is None:
+            n = self._norms[beta] = sum(
+                b * c * self.sym[i] * self.cartan[i][j]
+                for i, b in enumerate(beta) if b
+                for j, c in enumerate(beta) if c
+            )
+        return n
 
     def coroot(self, beta):
         """Coefficients of beta^vee over the simple coroots (exact integers)."""
         nb = self.norm(beta)
         out = []
         for i, c in enumerate(beta):
-            k = Fraction(2 * c * self.sym[i], 1) / nb
-            if k.denominator != 1:
+            k, rem = divmod(2 * c * self.sym[i], nb)
+            if rem:
                 raise StructureError(f"non-integral coroot coefficient for {beta}")
-            out.append(int(k))
+            out.append(k)
         return tuple(out)
 
     # -- strings and decompositions ------------------------------------------
@@ -215,24 +211,6 @@ class RootSystem:
             if beta in self.index and (sum(alpha), alpha) < (sum(beta), beta):
                 out.append((alpha, beta))
         return out
-
-    def string_is_unbroken(self, alpha, beta) -> bool:
-        """The alpha-string through beta has no gaps."""
-        down, up = 0, 0
-        cur = tuple(b - a for b, a in zip(beta, alpha))
-        while cur in self.all_roots:
-            down += 1
-            cur = tuple(c - a for c, a in zip(cur, alpha))
-        cur = tuple(b + a for b, a in zip(beta, alpha))
-        while cur in self.all_roots:
-            up += 1
-            cur = tuple(c + a for c, a in zip(cur, alpha))
-        # every intermediate point must be a root
-        for k in range(-down, up + 1):
-            v = tuple(b + k * a for b, a in zip(beta, alpha))
-            if any(v) and v not in self.all_roots:
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)

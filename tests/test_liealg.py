@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -31,11 +32,16 @@ def test_invalid_types():
 
 @pytest.mark.parametrize("family,rank", [(f, r) for f, r, _ in TYPES])
 def test_root_strings_unbroken(family, rank):
+    # root strings have at most 4 roots, so the window -4..4 holds every one
     rs = root_system(family, rank)
     for alpha in rs.positive_roots:
         for beta in rs.positive_roots:
             if alpha != beta:
-                assert rs.string_is_unbroken(alpha, beta)
+                steps = [
+                    k for k in range(-4, 5)
+                    if tuple(b + k * a for b, a in zip(beta, alpha)) in rs.all_roots
+                ]
+                assert steps == list(range(steps[0], steps[-1] + 1)) and 0 in steps
 
 
 def test_rank1_relations():
@@ -111,7 +117,7 @@ def test_diagram_automorphism_a2():
     alg = build_algebra("A", 2, field)
     sigma = diagram_automorphism(alg, [1, 0])
     assert sigma.order == 2
-    assert len(sigma.fixed_space()) == 3
+    assert len(sigma.eigenspace(field.one)) == 3
     # preserves the Killing form on basis pairs
     for i in range(alg.dim):
         ci = list(sigma.columns[i])
@@ -122,7 +128,7 @@ def test_diagram_automorphism_a2():
 def test_diagram_automorphism_identity():
     alg = build_algebra("A", 2)
     ident = diagram_automorphism(alg, [0, 1])
-    assert ident.is_identity()
+    assert ident == identity_automorphism(alg)
     assert ident.order == 1
 
 
@@ -131,7 +137,7 @@ def test_diagram_automorphism_d4_triality():
     alg = build_algebra("D", 4, field)
     tri = diagram_automorphism(alg, [2, 1, 3, 0])
     assert tri.order == 3
-    assert len(tri.fixed_space()) == 14
+    assert len(tri.eigenspace(field.one)) == 14
 
 
 def test_triality_preserves_killing():
@@ -168,6 +174,114 @@ def test_matrix_automorphism_validation():
     # wrong declared order is rejected
     with pytest.raises(StructureError):
         LieAutomorphism(alg, sigma.columns, order=3)
+
+
+def _dense_refusal(alg, columns, declared):
+    """The dense validation of a column matrix, kept as the reference: the
+    message it refuses with, or the minimal order when it accepts."""
+    dim = alg.dim
+
+    def apply(cols, vec):
+        out = alg.zero_vector()
+        for k, a in enumerate(vec):
+            if a:
+                for t in range(dim):
+                    if cols[k][t]:
+                        out[t] = out[t] + a * cols[k][t]
+        return out
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            lhs = alg.zero_vector()
+            for k, c in alg.struct.get((i, j), ()):
+                lhs = [x + c * y for x, y in zip(lhs, columns[k])]
+            if lhs != alg.bracket(list(columns[i]), list(columns[j])):
+                return f"matrix does not preserve the bracket on basis pair ({i},{j})"
+    if declared < 1:
+        return "automorphism order must be positive"
+    ident = tuple(tuple(alg.basis_vector(i)) for i in range(dim))
+    power = tuple(tuple(c) for c in columns)
+    for j in range(1, declared + 1):
+        if power == ident:
+            return j if declared % j == 0 else f"matrix does not have order dividing {declared}"
+        power = tuple(tuple(apply(columns, col)) for col in power)
+    return f"matrix does not have order dividing {declared}"
+
+
+@pytest.mark.parametrize(
+    "family,rank,conductor,perm",
+    [("A", 2, 2, [1, 0]), ("D", 4, 3, [2, 1, 3, 0]), ("A", 5, 2, [4, 3, 2, 1, 0])],
+)
+def test_sparse_validation_refuses_what_the_dense_one_refused(family, rank, conductor, perm):
+    alg = build_algebra(family, rank, CyclotomicField(conductor))
+    sigma = diagram_automorphism(alg, perm)
+    cols = [list(c) for c in sigma.columns]
+    negated = [list(c) for c in cols]
+    negated[alg.npos] = [-x for x in negated[alg.npos]]
+    swapped = [list(c) for c in cols]
+    swapped[0], swapped[alg.dim - 1] = swapped[alg.dim - 1], swapped[0]
+    cases = [(cols, sigma.order), (cols, 2 * sigma.order), (negated, sigma.order),
+             (swapped, sigma.order), (cols, sigma.order + 1), (cols, 0)]
+    for columns, declared in cases:
+        expected = _dense_refusal(alg, columns, declared)
+        if isinstance(expected, int):
+            assert LieAutomorphism(alg, columns, order=declared).order == expected
+            continue
+        with pytest.raises(StructureError) as err:
+            LieAutomorphism(alg, columns, order=declared)
+        assert str(err.value) == expected
+    assert _dense_refusal(alg, cols, sigma.order) == sigma.order
+
+
+def _first_jacobi_failure(alg):
+    """The all-triples scan, kept as the reference for `verify_chevalley`."""
+    for i, j, k in combinations(range(alg.dim), 3):
+        if alg._jacobi_defect(i, j, k):
+            return f"Jacobi fails on basis triple ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, r, _ in TYPES] + [("F", 4), ("E", 6)]
+)
+def test_jacobi_scan_matches_all_triples(family, rank, monkeypatch):
+    alg = build_algebra(family, rank)
+    true = alg._int_struct
+    assert _first_jacobi_failure(alg) is None
+    alg.verify_chevalley()
+    rng = random.Random(f"{family}{rank}")
+    pairs = sorted(key for key in true if key[0] < key[1])
+    refused = 0
+    for _ in range(50):
+        table = dict(true)
+        if rng.random() < 0.5:
+            # a new entry on any pair, in a slot the true bracket leaves empty
+            i, j = sorted(rng.sample(range(alg.dim), 2))
+            support = {k for k, _ in table.get((i, j), ())}
+            k = rng.choice([k for k in range(alg.dim) if k not in support])
+            entries = table.get((i, j), ()) + ((k, rng.choice([-1, 1])),)
+        else:
+            # one existing entry changed, or dropped when it becomes 0
+            i, j = rng.choice(pairs)
+            entries = list(table[(i, j)])
+            slot = rng.randrange(len(entries))
+            k, c = entries[slot]
+            entries[slot] = (k, c + rng.choice([-1, 1]))
+            entries = tuple(e for e in entries if e[1])
+        table[(i, j)] = entries
+        table[(j, i)] = tuple((k, -c) for k, c in entries)
+        monkeypatch.setattr(alg, "_int_struct", table)
+        expected = _first_jacobi_failure(alg)
+        if expected is None:
+            alg.verify_chevalley()  # e.g. [e, f] = 2h still satisfies Jacobi in A1
+            continue
+        with pytest.raises(StructureError) as err:
+            alg.verify_chevalley()
+        assert str(err.value) == expected
+        refused += 1
+        if refused == 8:
+            break
+    assert refused == 8
 
 
 def test_eigenspace_dims_a2():
