@@ -363,7 +363,8 @@ def build_algebra(family: str, rank: int, field: CyclotomicField | None = None):
 
 def _combine(columns, coeffs):
     """Nonzero entries {t: x} of sum(c * columns[k]) over (k, c) in coeffs, for
-    columns given by their nonzero (t, x) pairs."""
+    columns given by their nonzero (t, x) pairs (automorphism columns, or the
+    structure table with [b_s, b_t] as column (s, t))."""
     acc = {}
     for k, c in coeffs:
         for t, x in columns[k]:
@@ -401,16 +402,10 @@ class LieAutomorphism:
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
                 lhs = _combine(cols, alg.struct.get((i, j), ()))
-                rhs = {}
-                for s, a in cols[i]:
-                    row = alg._rows[s]
-                    for t, b in cols[j]:
-                        entries = row.get(t)
-                        if entries:
-                            ab = a * b
-                            for k, c in entries:
-                                rhs[k] = rhs[k] + ab * c if k in rhs else ab * c
-                if lhs != {k: x for k, x in rhs.items() if x}:
+                rhs = _combine(alg.struct, [
+                    ((s, t), a * b) for s, a in cols[i] for t, b in cols[j] if (s, t) in alg.struct
+                ])
+                if lhs != rhs:
                     raise StructureError(
                         f"matrix does not preserve the bracket on basis pair ({i},{j})"
                     )
