@@ -141,12 +141,13 @@ class LoopElement:
         return self.terms.get(tuple(exponent), tuple([self.parent.field.zero] * dim))
 
     def galois_ring(self, g: GaloisElement) -> "LoopElement":
-        """Act on the ring part only: x tensor s^a -> character * x tensor s^a."""
+        """Act on the ring part only: x tensor s^a -> character * x tensor s^a.
+        Only the nonzero entries are multiplied; a zero entry is kept as it is."""
         group = self.parent.ring.group
         out = {}
         for e, v in self.terms.items():
             chi = group.character(g, e)
-            out[e] = tuple(x * chi for x in v)
+            out[e] = tuple(x * chi if x else x for x in v)
         return LoopElement(self.parent, out)
 
     def apply_gmap(self, auto: LieAutomorphism) -> "LoopElement":
@@ -241,6 +242,7 @@ class TwistedLoopAlgebra:
             loopalg, [s.inverse() for s in self.sigmas], self.orders
         )
         self._components = {}  # degree -> basis of the component, built on first use
+        self._residues = {}  # degree -> its residue mod the orders
         # (residue, a, residue, b) -> bracket coordinates, and -> Killing value;
         # each filled on first use, so a caller of coordinates only computes no kappa
         self._pairs = {}
@@ -249,7 +251,11 @@ class TwistedLoopAlgebra:
     # -- components -----------------------------------------------------------
 
     def residue(self, degree):
-        return tuple(a % m for a, m in zip(degree, self.orders))
+        degree = tuple(degree)
+        res = self._residues.get(degree)
+        if res is None:
+            res = self._residues[degree] = tuple(a % m for a, m in zip(degree, self.orders))
+        return res
 
     def component_gbasis(self, degree):
         return self.eigen.component(self.residue(degree))

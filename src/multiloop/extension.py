@@ -10,6 +10,10 @@ algebra by the base-lattice classes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from math import comb
+from operator import add
+
 from . import linalg
 from .descent import LoopElement, TwistedLoopAlgebra
 from .errors import MismatchError, StructureError
@@ -62,9 +66,6 @@ class ExtendedElement:
     def is_zero(self) -> bool:
         return self.loop.is_zero() and self.central.is_zero()
 
-    def to_json(self):
-        return {"loop": self.loop.to_json(), "central": self.central.to_json()}
-
     def __repr__(self):
         return f"<loop {self.loop} | central {self.central.to_text()}>"
 
@@ -79,6 +80,11 @@ class CentralExtension:
         self.ring = twisted.ring
         self.field = twisted.field
         self.group = twisted.group
+        # window -> the failing triples of its cyclic sums (`_cyclic_failures`);
+        # (g, residue, position) -> the coordinates of u_g on that basis vector
+        # (`_lift_coords`); both filled on first use
+        self._cyclic = {}
+        self._lifts = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -140,9 +146,6 @@ class CentralExtension:
             X.central.galois(g),
         )
 
-    def in_fixed_extension(self, X: ExtendedElement) -> bool:
-        return all(self.lifted_action(g, X) == X for g in self.group.elements())
-
     # -- window bases --------------------------------------------------------------
 
     def extended_window_basis(self, window: int):
@@ -153,10 +156,10 @@ class CentralExtension:
 
     # -- verification suites ----------------------------------------------------
 
-    def _add_bracket(self, loop, raw, mu, coords, nu, b):
-        """Add [z, y_b (x) s^nu] for z = sum of c x_s (x) s^mu over the (s, c) in
-        coords: its component coordinates into loop, and its raw class vector
-        kappa * nu at the degree mu + nu (before reduction) into raw."""
+    def _add_bracket(self, loop, mu, coords, nu, b):
+        """Add the component coordinates of [z, y_b (x) s^nu] into loop, for
+        z = sum of c x_s (x) s^mu over the (s, c) in coords, and return the
+        Killing value kappa(z, y_b)."""
         pair = self.twisted.pair
         w = self.field.zero
         for s, c in coords:
@@ -165,10 +168,7 @@ class CentralExtension:
                 loop[t] = loop[t] + c * e
             if kappa:
                 w = w + c * kappa
-        if w:
-            for i, e in enumerate(nu):
-                if e:
-                    raw[i] = raw[i] + w * e
+        return w
 
     def _pair_sum(self, *terms):
         """The sum of [x_a (x) s^mu, y_b (x) s^nu] over the (mu, a, nu, b) in terms,
@@ -179,53 +179,107 @@ class CentralExtension:
         loop = [zero] * self.twisted.component_dim(degree)
         raw = [zero] * self.ring.n
         for mu, a, nu, b in terms:
-            self._add_bracket(loop, raw, mu, ((a, one),), nu, b)
+            w = self._add_bracket(loop, mu, ((a, one),), nu, b)
+            if w:
+                for i, e in enumerate(nu):
+                    if e:
+                        raw[i] = raw[i] + w * e
         return loop, CentralClass(self.ring, {degree: raw})
 
-    def _cyclic_sums(self, basis):
-        """(i, j, k, loop, central) for the triples i < j < k of a window basis:
-        the component coordinates and the class of the cyclic sum
-        [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j].
-
-        The raw class vector is summed over the three terms and reduced once.
-        """
+    def _cyclic_entry(self, x, y, z):
+        """The cyclic sum [[x, y], z] + [[y, z], x] + [[z, x], y] of the component
+        basis vectors named by three (residue, position) pairs: whether its
+        loop part is nonzero, and the weights kappa([x,y],z), kappa([y,z],x),
+        kappa([z,x],y).  Both depend on the residues only, so one entry
+        serves every triple of degrees with those residues."""
         tw = self.twisted
-        zero = self.field.zero
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                for k in range(j + 1, len(basis)):
-                    degree = tuple(
-                        x + y + z for x, y, z in zip(basis[i][0], basis[j][0], basis[k][0])
-                    )
-                    loop = [zero] * tw.component_dim(degree)
-                    raw = [zero] * self.ring.n
-                    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                        (dp, ap, _), (dq, aq, _), (dr, ar, _) = basis[p], basis[q], basis[r]
-                        coords = tw._pair_bracket(dp, ap, dq, aq)
-                        pq_degree = tuple(x + y for x, y in zip(dp, dq))
-                        self._add_bracket(loop, raw, pq_degree, coords, dr, ar)
-                    yield i, j, k, loop, CentralClass(self.ring, {degree: raw})
+        total = tuple(p + q + r for p, q, r in zip(x[0], y[0], z[0]))
+        loop = [self.field.zero] * tw.component_dim(total)
+        weights = []
+        for (rp, ap), (rq, aq), (rr, ar) in ((x, y, z), (y, z, x), (z, x, y)):
+            coords = tw._pair_bracket(rp, ap, rq, aq)
+            weights.append(self._add_bracket(loop, tuple(map(add, rp, rq)), coords, rr, ar))
+        return any(loop), weights
+
+    def _cyclic_failures(self, window: int):
+        """The triples i < j < k of the window basis whose cyclic sum
+        [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] is not zero,
+        as (i, j, k, loop part nonzero, class nonzero) in (i, j, k) order.
+
+        With degrees mu, nu, rho of b_i, b_j, b_k the raw class vector is
+        w1 rho + w2 mu + w3 nu for the weights of `_cyclic_entry`.  When the
+        weights are one w it is w (mu + nu + rho), and reducing a degree at
+        itself gives 0 (checked here on every degree of the summed box).  So a
+        (residue, position) triple with a zero loop part and equal weights has
+        no failing triple at any degree; only the other triples that occur are
+        expanded into their basis triples, and their classes reduced one by one.
+        Each (residue, position) triple is visited once; only the failing basis
+        triples are kept, memoised per window for the two suites.
+        """
+        if window in self._cyclic:
+            return self._cyclic[window]
+        tw, ring, field = self.twisted, self.ring, self.field
+        basis = tw.window_basis(window)
+        members = {}  # (residue, position) -> ascending basis indices
+        for i, (degree, pos, _) in enumerate(basis):
+            members.setdefault((tw.residue(degree), pos), []).append(i)
+        degree_fact = all(
+            CentralClass(ring, {gamma: [field.scalar(a) for a in gamma]}).is_zero()
+            for gamma in box_degrees(ring.n, 3 * window)
+        )
+        out = []
+        keys = list(members)
+        for kx in keys:
+            first = members[kx][0]
+            for ky in keys:
+                ys = members[ky]
+                at = bisect_right(ys, first)
+                if at == len(ys):
+                    continue
+                for kz in keys:
+                    zs = members[kz]
+                    if zs[-1] <= ys[at]:
+                        continue  # no i < j < k with these keys
+                    loop, (w1, w2, w3) = self._cyclic_entry(kx, ky, kz)
+                    if not loop and w1 == w2 == w3 and (degree_fact or not w1):
+                        continue
+                    for i in members[kx]:
+                        for j in ys[bisect_right(ys, i):]:
+                            for k in zs[bisect_right(zs, j):]:
+                                mu, nu, rho = basis[i][0], basis[j][0], basis[k][0]
+                                raw = [
+                                    w1 * r + w2 * m + w3 * n for m, n, r in zip(mu, nu, rho)
+                                ]
+                                gamma = tuple(map(add, map(add, mu, nu), rho))
+                                central = not CentralClass(ring, {gamma: raw}).is_zero()
+                                if loop or central:
+                                    out.append((i, j, k, loop, central))
+        out.sort()
+        self._cyclic[window] = out
+        return out
 
     def cocycle_checks(self, window: int) -> dict:
-        """Antisymmetry and the 2-cocycle identity on the window basis."""
+        """Antisymmetry and the 2-cocycle identity on the window basis.
+
+        The identity is scanned per (residue, position) triple through
+        `_cyclic_failures`, which `extended_jacobi` shares."""
         basis = self.twisted.window_basis(window)
         failures = []
-        npairs = ntriples = 0
+        npairs = 0
         for i, (mu, a, _) in enumerate(basis):
             for j in range(i, len(basis)):
                 nu, b, _ = basis[j]
                 npairs += 1
                 if not self._pair_sum((mu, a, nu, b), (nu, b, mu, a))[1].is_zero():
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
-        for i, j, k, _, central in self._cyclic_sums(basis):
-            ntriples += 1
-            if not central.is_zero():
+        for i, j, k, _, central in self._cyclic_failures(window):
+            if central:
                 failures.append({"kind": "cocycle", "triple": [i, j, k]})
         return {
             "passed": not failures,
             "basis_size": len(basis),
             "pairs": npairs,
-            "triples": ntriples,
+            "triples": comb(len(basis), 3),
             "failures": failures,
         }
 
@@ -236,13 +290,14 @@ class CentralExtension:
         only reads loop parts): the pair scan checks this with the element
         bracket, and checks antisymmetry of loop pairs on the pair table.  So
         every Jacobi triple involving a central basis vector is zero term by
-        term, and the triple scan runs over loop triples.
+        term, and the triple scan runs over loop triples, per (residue,
+        position) triple through `_cyclic_failures`.
         """
         basis = self.extended_window_basis(window)
         loop_basis = self.twisted.window_basis(window)
         nl = len(loop_basis)
         failures = []
-        npairs = ntriples = 0
+        npairs = 0
         for i, x in enumerate(basis):
             for j in range(i, len(basis)):
                 npairs += 1
@@ -257,15 +312,13 @@ class CentralExtension:
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
                 if i >= nl and not self.bracket(x, basis[j]).is_zero():
                     failures.append({"kind": "centrality", "pair": [i, j]})
-        for i, j, k, loop, central in self._cyclic_sums(loop_basis):
-            ntriples += 1
-            if any(loop) or not central.is_zero():
-                failures.append({"kind": "jacobi", "triple": [i, j, k]})
+        for i, j, k, _, _ in self._cyclic_failures(window):
+            failures.append({"kind": "jacobi", "triple": [i, j, k]})
         return {
             "passed": not failures,
             "basis_size": len(basis),
             "pairs": npairs,
-            "triples": ntriples,
+            "triples": comb(nl, 3),
             "failures": failures,
         }
 
@@ -405,24 +458,32 @@ class CentralExtension:
         as descended component plus base-lattice classes, (c) the invariant
         classes agree with the reduced image of base-ring one-forms, and
         (d) every lifted action preserves the extension bracket.
+
+        (a) reads u_g of each eigen-adapted basis vector in component
+        coordinates, once per (g, residue, position) (`_lift_coords`); (d)
+        reuses them to compare the two sides of a loop pair in component
+        coordinates, once per (g, residue, position, residue, position)
+        (`_equivariance_sides`).  A pair with a central vector, or with a
+        vector whose image has no coordinates, is compared as extension
+        elements.
         """
         failures = []
         tw = self.twisted
         elems = self.group.elements()
+        loop_basis = [
+            (degree, tw.residue(degree), pos) for degree, pos, _ in tw.window_basis(window)
+        ]
         for g in elems:
-            u = tw.cocycle.value(g)
-            for degree, pos, el in tw.window_basis(window):
-                image = el.apply_gmap(u)
-                for e, gv in image.terms.items():
-                    if tw.component_coords(e, gv) is None:
-                        failures.append(
-                            {
-                                "kind": "stability",
-                                "g": list(g.components),
-                                "degree": list(degree),
-                                "pos": pos,
-                            }
-                        )
+            for degree, res, pos in loop_basis:
+                if self._lift_coords(g, res, pos) is None:
+                    failures.append(
+                        {
+                            "kind": "stability",
+                            "g": list(g.components),
+                            "degree": list(degree),
+                            "pos": pos,
+                        }
+                    )
         dim_checks = {}
         for degree in box_degrees(self.ring.n, window):
             fixed = tw.component_direct(degree)
@@ -443,18 +504,38 @@ class CentralExtension:
                 if not invariant_matches_base_image_at(self.ring, degree):
                     failures.append({"kind": "base-image", "degree": list(degree)})
         basis = self.extended_window_basis(window)
+        nl = len(loop_basis)
+        classes = {}  # (mu, nu) -> class(s^mu ds^nu) is nonzero
         for g in elems:
             if not any(g.components):
                 continue  # the identity action preserves everything trivially
+            verdicts = {}
             for i, X in enumerate(basis):
                 for j in range(i + 1, len(basis)):
-                    lhs = self.lifted_action(g, self.bracket(X, basis[j]))
-                    rhs = self.bracket(
-                        self.lifted_action(g, X), self.lifted_action(g, basis[j])
-                    )
-                    if lhs != rhs:
+                    broken = None
+                    if j < nl:
+                        (mu, rmu, a), (nu, rnu, b) = loop_basis[i], loop_basis[j]
+                        key = (rmu, a, rnu, b)
+                        if key not in verdicts:
+                            verdicts[key] = self._equivariance_sides(g, key)
+                        verdict = verdicts[key]
+                        if verdict is not None:
+                            loop_equal, central_equal = verdict
+                            if not central_equal and (mu, nu) not in classes:
+                                classes[mu, nu] = not self.cocycle_class_of_pair(mu, nu).is_zero()
+                            broken = not loop_equal or (not central_equal and classes[mu, nu])
+                    if broken is None:
+                        Y = basis[j]
+                        lhs = self.lifted_action(g, self.bracket(X, Y))
+                        rhs = self.bracket(self.lifted_action(g, X), self.lifted_action(g, Y))
+                        broken = lhs != rhs
+                    if broken:
                         failures.append(
-                            {"kind": "bracket-equivariance", "g": list(g.components), "pair": [i, j]}
+                            {
+                                "kind": "bracket-equivariance",
+                                "g": list(g.components),
+                                "pair": [i, j],
+                            }
                         )
         return {
             "passed": not failures,
@@ -462,6 +543,66 @@ class CentralExtension:
             "per_degree": dim_checks,
             "failures": failures,
         }
+
+    def _lift_coords(self, g, residue, pos):
+        """Component coordinates of u_g x for the eigen-adapted basis vector x
+        at (residue, pos), or None when u_g x leaves the component; memoised."""
+        key = (g.components, residue, pos)
+        if key not in self._lifts:
+            tw = self.twisted
+            x = list(tw.eigen.component(residue)[pos])
+            self._lifts[key] = tw.component_coords(residue, tw.cocycle.value(g).apply(x))
+        return self._lifts[key]
+
+    def _equivariance_sides(self, g, key):
+        """Both sides of u_g ^g [X, Y] = [u_g ^g X, u_g ^g Y] for X = x_a (x) s^mu
+        and Y = y_b (x) s^nu, key = (residue of mu, a, residue of nu, b), in
+        component coordinates: with L the coordinates of u_g on each component
+        (`_lift_coords`) and chi the character of g,
+          lhs = chi(mu+nu) L [x_a, y_b],   kappa part chi(mu+nu) kappa(x_a, y_b),
+          rhs = chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t],
+                kappa part chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] kappa(x_s, y_t).
+        Both classes are their kappa part times class(s^mu ds^nu).  Returns
+        (loop parts equal, kappa parts equal), or None when an image or a
+        bracket has no component coordinates."""
+        rmu, a, rnu, b = key
+        tw, zero = self.twisted, self.field.zero
+        total = tuple(map(add, rmu, rnu))
+        ua, ub = self._lift_coords(g, rmu, a), self._lift_coords(g, rnu, b)
+        if ua is None or ub is None:
+            return None
+        try:
+            coords, kappa = tw.pair(rmu, a, rnu, b)
+            lhs = [zero] * tw.component_dim(total)
+            for r, c in coords:
+                column = self._lift_coords(g, tw.residue(total), r)
+                if column is None:
+                    return None
+                for q, e in enumerate(column):
+                    if e:
+                        lhs[q] = lhs[q] + c * e
+            rhs = [zero] * len(lhs)
+            k_rhs = zero
+            for s, x in enumerate(ua):
+                if not x:
+                    continue
+                for t, y in enumerate(ub):
+                    if y:
+                        xy = x * y
+                        inner, k = tw.pair(rmu, s, rnu, t)
+                        for q, e in inner:
+                            rhs[q] = rhs[q] + xy * e
+                        if k:
+                            k_rhs = k_rhs + xy * k
+        except StructureError:
+            return None  # a bracket leaves the descended algebra
+        character = self.group.character
+        chi = character(g, total)
+        chi2 = character(g, rmu) * character(g, rnu)
+        return (
+            [chi * e for e in lhs] == [chi2 * e for e in rhs],
+            chi * kappa == chi2 * k_rhs,
+        )
 
     def _fixed_central_dim(self, degree) -> int:
         degree = tuple(degree)

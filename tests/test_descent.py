@@ -254,3 +254,32 @@ def test_shape_mismatch(a1_n1, a1_n2):
         x = a1_n1.twisted.loopalg.pure(a1_n1.algebra.e(0), (1,))
         y = a1_n2.twisted.loopalg.pure(a1_n2.algebra.e(0), (1, 0))
         x + y
+
+
+def test_galois_ring_multiplies_nonzero_entries_only(d4_triality, monkeypatch):
+    tw = d4_triality.twisted
+    rng = random.Random(5)
+    el = tw.loopalg.zero()
+    for degree, _, x in tw.window_basis(1):
+        el = el + x * tw.field.zeta(rng.randrange(3))
+    nonzero = sum(1 for v in el.terms.values() for c in v if c)
+    assert nonzero < len(el.terms) * tw.algebra.dim  # the vectors have zeros
+    for g in tw.group.elements():
+        dense = {
+            e: tuple(c * tw.group.character(g, e) for c in v) for e, v in el.terms.items()
+        }
+        calls = []
+        mul = type(tw.field.one).__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(type(tw.field.one), "__mul__", counting_mul)
+        out = el.galois_ring(g)
+        monkeypatch.undo()
+        assert out.terms == dense
+        assert [[repr(c) for c in v] for v in out.terms.values()] == [
+            [repr(c) for c in v] for v in dense.values()
+        ]
+        assert len(calls) == nonzero

@@ -1,9 +1,18 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from multiloop import linalg
 from multiloop.errors import MismatchError
-from multiloop.kaehler import class_basis_at
+from multiloop.kaehler import (
+    CentralClass,
+    _invariant_classes_at,
+    class_basis_at,
+    invariant_matches_base_image_at,
+)
+from multiloop.laurent import box_degrees
+from multiloop.session import Session, load_spec
 from tests.conftest import make_session
 
 
@@ -72,14 +81,18 @@ def test_lifted_action_fixes_untwisted_combination(a1_n1):
         assert ext.lifted_action(g, X) == X
 
 
+def fixed_by_every_lift(ext, X) -> bool:
+    return all(ext.lifted_action(g, X) == X for g in ext.group.elements())
+
+
 def test_fixed_extension_membership(a2_twisted):
     ext = a2_twisted.ext
     for X in ext.extended_window_basis(2):
-        assert ext.in_fixed_extension(X)
+        assert fixed_by_every_lift(ext, X)
     # an element outside the descended algebra is moved
     g1 = list(a2_twisted.twisted.eigen.component((1,))[0])
     bad = ext.from_loop(ext.loopalg.pure(g1, (0,)))
-    assert not ext.in_fixed_extension(bad)
+    assert not fixed_by_every_lift(ext, bad)
 
 
 def test_centre_window_rank1(a1_n1):
@@ -188,7 +201,7 @@ def test_untwisted_reduction_structure(a1_n1):
     ext = a1_n1.ext
     assert ext.group.order() == 1
     for X in ext.extended_window_basis(2):
-        assert ext.in_fixed_extension(X)
+        assert fixed_by_every_lift(ext, X)
 
 
 def test_triality_extension_suites(d4_triality):
@@ -205,8 +218,8 @@ def test_extended_element_json(a1_n1):
     X = ext.from_loop(ext.loopalg.pure(a1_n1.algebra.e(0), (1,))) + ext.from_central(
         class_basis_at(ext.ring, (0,))[0]
     )
-    data = X.to_json()
-    assert set(data) == {"loop", "central"}
+    assert X.loop.to_json() == [{"exp": [1], "vec": [str(x) for x in a1_n1.algebra.e(0)]}]
+    assert X.central.to_json() == [{"degree": [0], "coords": ["1"], "pivot": None}]
 
 
 def test_suites_catch_a_corrupted_structure_constant_and_killing_value(monkeypatch):
@@ -227,3 +240,206 @@ def test_suites_catch_a_corrupted_structure_constant_and_killing_value(monkeypat
     cocycle = ext.cocycle_checks(1)
     assert not cocycle["passed"]
     assert {"cocycle", "antisymmetry"} & {fail["kind"] for fail in cocycle["failures"]}
+    # a doubled kappa breaks equal weights: its keys expand to the old failure list
+    assert_structural_reports_match_references(ext, 1)
+
+
+# -- the element-level scans, kept as references for the residue-keyed ones ----
+
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def reference_cyclic_sums(ext, basis):
+    """(i, j, k, loop, central) for every triple i < j < k of the window basis:
+    the component coordinates and the class of the cyclic sum, one triple at
+    a time, with the raw class vector summed over the three terms."""
+    tw, zero = ext.twisted, ext.field.zero
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            for k in range(j + 1, len(basis)):
+                degree = tuple(x + y + z for x, y, z in zip(basis[i][0], basis[j][0], basis[k][0]))
+                loop = [zero] * tw.component_dim(degree)
+                raw = [zero] * ext.ring.n
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    (dp, ap, _), (dq, aq, _), (dr, ar, _) = basis[p], basis[q], basis[r]
+                    pq_degree = tuple(x + y for x, y in zip(dp, dq))
+                    w = zero
+                    for s, c in tw.pair(dp, ap, dq, aq)[0]:
+                        inner, kappa = tw.pair(pq_degree, s, dr, ar)
+                        for t, e in inner:
+                            loop[t] = loop[t] + c * e
+                        w = w + c * kappa
+                    for x, e in enumerate(dr):
+                        raw[x] = raw[x] + w * e
+                yield i, j, k, loop, CentralClass(ext.ring, {degree: raw})
+
+
+def reference_structural_reports(ext, window):
+    """(cocycle_checks, extended_jacobi, decomposition) reports from the
+    element-level scans: every triple i < j < k, and three element brackets
+    and three lifted actions per extended pair."""
+    loop_basis = ext.twisted.window_basis(window)
+    basis = ext.extended_window_basis(window)
+    nl = len(loop_basis)
+    cocycle, jacobi = [], []
+    for i, (mu, a, _) in enumerate(loop_basis):
+        for j in range(i, nl):
+            nu, b, _ = loop_basis[j]
+            loop, central = ext._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+            if not central.is_zero():
+                cocycle.append({"kind": "antisymmetry", "pair": [i, j]})
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            if j < nl:
+                (mu, a, _), (nu, b, _) = loop_basis[i], loop_basis[j]
+                loop, central = ext._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+                broken = any(loop) or not central.is_zero()
+            else:
+                y = basis[j]
+                broken = not (ext.bracket(x, y) + ext.bracket(y, x)).is_zero()
+            if broken:
+                jacobi.append({"kind": "antisymmetry", "pair": [i, j]})
+            if i >= nl and not ext.bracket(x, basis[j]).is_zero():
+                jacobi.append({"kind": "centrality", "pair": [i, j]})
+    ntriples = 0
+    for i, j, k, loop, central in reference_cyclic_sums(ext, loop_basis):
+        ntriples += 1
+        if not central.is_zero():
+            cocycle.append({"kind": "cocycle", "triple": [i, j, k]})
+        if any(loop) or not central.is_zero():
+            jacobi.append({"kind": "jacobi", "triple": [i, j, k]})
+
+    def report(failures, size, pairs):
+        return {"passed": not failures, "basis_size": size, "pairs": pairs,
+                "triples": ntriples, "failures": failures}
+
+    return (
+        report(cocycle, nl, nl * (nl + 1) // 2),
+        report(jacobi, len(basis), len(basis) * (len(basis) + 1) // 2),
+        reference_decomposition(ext, window),
+    )
+
+
+def reference_decomposition(ext, window):
+    tw, failures = ext.twisted, []
+    elems = ext.group.elements()
+    for g in elems:
+        u = tw.cocycle.value(g)
+        for degree, pos, el in tw.window_basis(window):
+            for e, gv in el.apply_gmap(u).terms.items():
+                if tw.component_coords(e, gv) is None:
+                    failures.append(
+                        {"kind": "stability", "g": list(g.components), "degree": list(degree), "pos": pos}
+                    )
+    dim_checks = {}
+    for degree in box_degrees(ext.ring.n, window):
+        fixed = tw.component_direct(degree)
+        comp = tw.component_gbasis(degree)
+        span = linalg.SpanSolver(ext.field, comp)
+        same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
+        central_expected = len(_invariant_classes_at(ext.ring, degree))
+        central_fixed = ext._fixed_central_dim(degree)
+        dim_checks[str(list(degree))] = {
+            "loop_fixed": len(fixed),
+            "loop_component": len(comp),
+            "central_fixed": central_fixed,
+            "central_expected": central_expected,
+        }
+        if not same or central_fixed != central_expected:
+            failures.append({"kind": "fixed-space", "degree": list(degree)})
+        if ext.ring.in_base_lattice(degree) and not invariant_matches_base_image_at(ext.ring, degree):
+            failures.append({"kind": "base-image", "degree": list(degree)})
+    basis = ext.extended_window_basis(window)
+    for g in elems:
+        if not any(g.components):
+            continue
+        for i, X in enumerate(basis):
+            for j in range(i + 1, len(basis)):
+                lhs = ext.lifted_action(g, ext.bracket(X, basis[j]))
+                rhs = ext.bracket(ext.lifted_action(g, X), ext.lifted_action(g, basis[j]))
+                if lhs != rhs:
+                    failures.append(
+                        {"kind": "bracket-equivariance", "g": list(g.components), "pair": [i, j]}
+                    )
+    return {"passed": not failures, "window": window, "per_degree": dim_checks, "failures": failures}
+
+
+def assert_structural_reports_match_references(ext, window):
+    cocycle, jacobi, decomposition = reference_structural_reports(ext, window)
+    assert ext.cocycle_checks(window) == cocycle
+    assert ext.extended_jacobi(window) == jacobi
+    assert ext.decomposition(window) == decomposition
+    return cocycle, jacobi, decomposition
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        ("a1_untwisted_n1", None),
+        ("a1_untwisted_n2", None),
+        ("a1_untwisted_n2", 2),
+        ("a2_twisted", None),
+        ("d4_triality", None),
+        ("a2_bitwist", None),
+    ],
+)
+def test_structural_scans_match_the_element_level_references(spec, window):
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    reports = assert_structural_reports_match_references(
+        session.ext, window or session.spec.window
+    )
+    assert all(rep["passed"] for rep in reports)
+
+
+def test_corrupted_a2_constant_gives_the_reference_failures(monkeypatch):
+    # a fresh session: the corrupted table must not be cached in a shared fixture
+    session = make_session("A", 2, [{"kind": "diagram", "perm": [1, 0]}], [2], window=1)
+    alg, ext = session.algebra, session.ext
+    e1, f1, h1 = (alg.labels.index(name) for name in ("x[1, 0]", "x[-1, 0]", "h1"))
+    # [e1, f1] = 2 h1 in one order only: the diagram involution no longer
+    # preserves the bracket, and brackets of fixed vectors leave g_0
+    monkeypatch.setitem(alg._rows[e1], f1, ((h1, alg.field.scalar(2)),))
+    rep = reference_decomposition(ext, 1)
+    equivariance = [f for f in rep["failures"] if f["kind"] == "bracket-equivariance"]
+    assert equivariance
+    assert ext.decomposition(1) == rep
+
+
+def test_corrupted_killing_value_gives_the_reference_failures(monkeypatch):
+    session = Session(load_spec(str(SPECS_DIR / "a2_bitwist.json")))
+    alg, ext = session.algebra, session.ext
+    e1, f2 = (alg.labels.index(name) for name in ("x[1, 0]", "x[0, -1]"))
+    # kappa(e1, f2) = 1 in one order only: it breaks ad-invariance, so the
+    # weights of a cyclic sum differ and the expanded triples must list the
+    # old failures; it also pairs eigenvectors whose residues do not sum to
+    # 0, which in two variables leaves a class off the base lattice
+    kill = list(alg._killing_rows)
+    row = dict(kill[e1])
+    row[f2] = alg.field.one
+    kill[e1] = tuple(sorted(row.items()))
+    monkeypatch.setattr(alg, "_killing_rows", kill)
+    cocycle, jacobi, decomposition = assert_structural_reports_match_references(ext, 1)
+    assert not cocycle["passed"] and not jacobi["passed"]
+    assert any(f["kind"] == "bracket-equivariance" for f in decomposition["failures"])
+
+
+def test_unreduced_pivot_gives_the_reference_failures(monkeypatch):
+    # the scan checks, rather than assumes, that reducing a degree at itself
+    # gives 0: with the pivot left in place, triples whose weights are equal
+    # but nonzero have a nonzero class, and must be expanded
+    from multiloop import kaehler
+
+    session = make_session("A", 1, [{"kind": "identity"}, {"kind": "identity"}], [1, 1], window=1)
+    reduce = kaehler._reduce_vector
+
+    def keep_pivot(ring, degree, vec):
+        out = reduce(ring, degree, vec)
+        p = kaehler.pivot_index(degree)
+        if p is not None:
+            out[p] = vec[p]
+        return out
+
+    monkeypatch.setattr(kaehler, "_reduce_vector", keep_pivot)
+    cocycle, jacobi, _ = assert_structural_reports_match_references(session.ext, 1)
+    assert any(f["kind"] == "cocycle" for f in cocycle["failures"])
+    assert any(f["kind"] == "jacobi" for f in jacobi["failures"])

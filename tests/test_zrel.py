@@ -46,23 +46,37 @@ def _kinds(report):
     return {f["kind"] for f in report["failures"]}
 
 
-def test_zrel_catches_an_unreduced_pivot(monkeypatch):
-    session = load_session("a1_untwisted_n2")
-    assert check_zrel(session, count=50)["passed"]
+def _keep_pivot(monkeypatch):
+    """Patch the reduction to reduce the other slots as the real map does but
+    leave the pivot in place."""
+    reduce = kaehler._reduce_vector
 
     def keep_pivot(ring, degree, vec):
-        # reduces the other slots as the real map does, but leaves the pivot in place
-        out = kaehler_reduce(ring, degree, vec)
+        out = reduce(ring, degree, vec)
         p = kaehler.pivot_index(degree)
         if p is not None:
             out[p] = vec[p]
         return out
 
-    kaehler_reduce = kaehler._reduce_vector
     monkeypatch.setattr(kaehler, "_reduce_vector", keep_pivot)
+
+
+def test_zrel_catches_an_unreduced_pivot(monkeypatch):
+    session = load_session("a1_untwisted_n2")
+    assert check_zrel(session, count=50)["passed"]
+    _keep_pivot(monkeypatch)
     report = check_zrel(session, count=50)
     assert not report["passed"]
     assert "reduce-d" in _kinds(report)
+
+
+def test_zrel_a1_reduces_one_times_da(monkeypatch):
+    # class(1 da) = 0 is the z-a1 identity; an unreduced pivot leaves 1 da
+    # nonzero whenever da has a pivot entry
+    session = load_session("a1_untwisted_n2")
+    _keep_pivot(monkeypatch)
+    report = check_zrel(session, count=50)
+    assert "z-a1" in _kinds(report)
 
 
 def test_zrel_catches_a_differential_without_the_exponent_factor(monkeypatch):
