@@ -228,22 +228,19 @@ class CentralExtension:
             for gamma in box_degrees(ring.n, 3 * window)
         )
         out = []
-        keys = list(members)
-        for kx in keys:
-            first = members[kx][0]
-            for ky in keys:
-                ys = members[ky]
-                at = bisect_right(ys, first)
+        groups = list(members.items())
+        for kx, xs in groups:
+            for ky, ys in groups:
+                at = bisect_right(ys, xs[0])
                 if at == len(ys):
                     continue
-                for kz in keys:
-                    zs = members[kz]
+                for kz, zs in groups:
                     if zs[-1] <= ys[at]:
                         continue  # no i < j < k with these keys
                     loop, (w1, w2, w3) = self._cyclic_entry(kx, ky, kz)
                     if not loop and w1 == w2 == w3 and (degree_fact or not w1):
                         continue
-                    for i in members[kx]:
+                    for i in xs:
                         for j in ys[bisect_right(ys, i):]:
                             for k in zs[bisect_right(zs, j):]:
                                 mu, nu, rho = basis[i][0], basis[j][0], basis[k][0]
