@@ -502,7 +502,6 @@ class CentralExtension:
                     failures.append({"kind": "base-image", "degree": list(degree)})
         basis = self.extended_window_basis(window)
         nl = len(loop_basis)
-        classes = {}  # (mu, nu) -> class(s^mu ds^nu) is nonzero
         for g in elems:
             if not any(g.components):
                 continue  # the identity action preserves everything trivially
@@ -517,10 +516,11 @@ class CentralExtension:
                             verdicts[key] = self._equivariance_sides(g, key)
                         verdict = verdicts[key]
                         if verdict is not None:
-                            loop_equal, central_equal = verdict
-                            if not central_equal and (mu, nu) not in classes:
-                                classes[mu, nu] = not self.cocycle_class_of_pair(mu, nu).is_zero()
-                            broken = not loop_equal or (not central_equal and classes[mu, nu])
+                            loop_equal, kappa_equal = verdict
+                            broken = not loop_equal or (
+                                not kappa_equal
+                                and not self.cocycle_class_of_pair(mu, nu).is_zero()
+                            )
                     if broken is None:
                         Y = basis[j]
                         lhs = self.lifted_action(g, self.bracket(X, Y))
@@ -552,16 +552,14 @@ class CentralExtension:
         return self._lifts[key]
 
     def _equivariance_sides(self, g, key):
-        """Both sides of u_g ^g [X, Y] = [u_g ^g X, u_g ^g Y] for X = x_a (x) s^mu
-        and Y = y_b (x) s^nu, key = (residue of mu, a, residue of nu, b), in
-        component coordinates: with L the coordinates of u_g on each component
-        (`_lift_coords`) and chi the character of g,
-          lhs = chi(mu+nu) L [x_a, y_b],   kappa part chi(mu+nu) kappa(x_a, y_b),
-          rhs = chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t],
-                kappa part chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] kappa(x_s, y_t).
-        Both classes are their kappa part times class(s^mu ds^nu).  Returns
-        (loop parts equal, kappa parts equal), or None when an image or a
-        bracket has no component coordinates."""
+        """Compare u_g ^g [X, Y] with [u_g ^g X, u_g ^g Y] for X = x_a (x) s^mu and
+        Y = y_b (x) s^nu, key = (residue of mu, a, residue of nu, b), in
+        component coordinates.  With L the coordinates of u_g on a component
+        (`_lift_coords`) and chi the character of g, the loop parts are
+        chi(mu+nu) L [x_a, y_b] and chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t];
+        each class is its Killing part (the same sums over kappa) times
+        class(s^mu ds^nu).  Returns (loop parts equal, Killing parts equal), or
+        None when an image or a bracket has no component coordinates."""
         rmu, a, rnu, b = key
         tw, zero = self.twisted, self.field.zero
         total = tuple(map(add, rmu, rnu))
@@ -580,26 +578,16 @@ class CentralExtension:
                         lhs[q] = lhs[q] + c * e
             rhs = [zero] * len(lhs)
             k_rhs = zero
-            for s, x in enumerate(ua):
-                if not x:
-                    continue
-                for t, y in enumerate(ub):
-                    if y:
-                        xy = x * y
-                        inner, k = tw.pair(rmu, s, rnu, t)
-                        for q, e in inner:
-                            rhs[q] = rhs[q] + xy * e
-                        if k:
-                            k_rhs = k_rhs + xy * k
+            xs = [(s, x) for s, x in enumerate(ua) if x]
+            for t, y in enumerate(ub):
+                if y:
+                    scaled = [(s, x * y) for s, x in xs]
+                    k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
         except StructureError:
             return None  # a bracket leaves the descended algebra
-        character = self.group.character
-        chi = character(g, total)
-        chi2 = character(g, rmu) * character(g, rnu)
-        return (
-            [chi * e for e in lhs] == [chi2 * e for e in rhs],
-            chi * kappa == chi2 * k_rhs,
-        )
+        chi = self.group.character(g, total)
+        chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
+        return [chi * e for e in lhs] == [chi2 * e for e in rhs], chi * kappa == chi2 * k_rhs
 
     def _fixed_central_dim(self, degree) -> int:
         degree = tuple(degree)
