@@ -17,7 +17,8 @@ from multiloop.checks import CHECK_NAMES, run_checks
 from multiloop.session import Session, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
-DEFAULT_SPECS = ["a1_untwisted_n1", "a1_untwisted_n2", "a2_twisted", "d4_triality", "a2_bitwist"]
+DEFAULT_SPECS = ["a1_untwisted_n1", "a1_untwisted_n2", "a2_twisted", "d4_triality", "a2_bitwist",
+                 "d4_bitwist"]
 
 
 def main() -> int:
