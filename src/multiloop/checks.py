@@ -26,15 +26,22 @@ CHECK_NAMES = (
 
 
 def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span: int = 3) -> LaurentPoly:
-    terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        exp = tuple(rng.randint(-span, span) for _ in range(ring.n))
-        coeff = ring.field.scalar(rng.randint(-9, 9)) / rng.randint(1, 9)
-        if ring.field.degree > 1 and rng.random() < 0.3:
-            terms.append((exp, ring.field.zeta(rng.randrange(ring.field.conductor)) * coeff))
+    field = ring.field
+    terms = {}
+    # randrange(a, b + 1) is randint(a, b), one call frame less
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exp = tuple([rng.randrange(-span, span + 1) for _ in range(ring.n)])
+        coeff = field.scalar(rng.randrange(-9, 10)) / rng.randrange(1, 10)
+        if field.degree > 1 and rng.random() < 0.3:
+            coeff = field.zeta(rng.randrange(field.conductor)) * coeff
+        # as `from_terms`: a repeated exponent adds up, and a zero sum drops it
+        if exp in terms:
+            coeff = terms[exp] + coeff
+        if coeff:
+            terms[exp] = coeff
         else:
-            terms.append((exp, ring.field.scalar(coeff)))
-    return ring.from_terms(terms)
+            terms.pop(exp, None)
+    return LaurentPoly._nonzero(ring, terms)
 
 
 def check_jacobi(session: Session) -> dict:

@@ -20,10 +20,8 @@ from .errors import MismatchError, StructureError
 from .kaehler import (
     CentralClass,
     _invariant_classes_at,
-    differential,
     invariant_class_basis,
     invariant_matches_base_image_at,
-    reduce_form,
     slot_indices,
 )
 from .laurent import GaloisElement, box_degrees
@@ -80,9 +78,11 @@ class CentralExtension:
         self.ring = twisted.ring
         self.field = twisted.field
         self.group = twisted.group
-        # window -> the failing triples of its cyclic sums (`_cyclic_failures`);
-        # (g, residue, position) -> the coordinates of u_g on that basis vector
-        # (`_lift_coords`); both filled on first use
+        # window -> the failing pairs of its antisymmetry sums
+        # (`_antisymmetry_failures`) and the failing triples of its cyclic sums
+        # (`_cyclic_failures`); (g, residue, position) -> the coordinates of u_g
+        # on that basis vector (`_lift_coords`); all filled on first use
+        self._antisymmetry = {}
         self._cyclic = {}
         self._lifts = {}
 
@@ -255,28 +255,44 @@ class CentralExtension:
         self._cyclic[window] = out
         return out
 
-    def cocycle_checks(self, window: int) -> dict:
-        """Antisymmetry and the 2-cocycle identity on the window basis.
-
-        The identity is scanned per (residue, position) triple through
-        `_cyclic_failures`, which `extended_jacobi` shares."""
+    def _antisymmetry_failures(self, window: int):
+        """The pairs i <= j of the loop window basis whose sum
+        [b_i, b_j] + [b_j, b_i] is not zero, as (i, j, loop part nonzero, class
+        nonzero) in (i, j) order; memoised per window for the two suites."""
+        if window in self._antisymmetry:
+            return self._antisymmetry[window]
         basis = self.twisted.window_basis(window)
-        failures = []
-        npairs = 0
+        out = []
         for i, (mu, a, _) in enumerate(basis):
             for j in range(i, len(basis)):
                 nu, b, _ = basis[j]
-                npairs += 1
-                if not self._pair_sum((mu, a, nu, b), (nu, b, mu, a))[1].is_zero():
-                    failures.append({"kind": "antisymmetry", "pair": [i, j]})
+                loop, central = self._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+                loop, central = any(loop), bool(central)
+                if loop or central:
+                    out.append((i, j, loop, central))
+        self._antisymmetry[window] = out
+        return out
+
+    def cocycle_checks(self, window: int) -> dict:
+        """Antisymmetry and the 2-cocycle identity on the window basis.
+
+        Antisymmetry reads `_antisymmetry_failures` and the identity is scanned
+        per (residue, position) triple through `_cyclic_failures`; both are
+        shared with `extended_jacobi`."""
+        nl = len(self.twisted.window_basis(window))
+        failures = [
+            {"kind": "antisymmetry", "pair": [i, j]}
+            for i, j, _, central in self._antisymmetry_failures(window)
+            if central
+        ]
         for i, j, k, _, central in self._cyclic_failures(window):
             if central:
                 failures.append({"kind": "cocycle", "triple": [i, j, k]})
         return {
             "passed": not failures,
-            "basis_size": len(basis),
-            "pairs": npairs,
-            "triples": comb(len(basis), 3),
+            "basis_size": nl,
+            "pairs": nl * (nl + 1) // 2,
+            "triples": comb(nl, 3),
             "failures": failures,
         }
 
@@ -285,36 +301,32 @@ class CentralExtension:
 
         Brackets against a central element vanish identically (the bracket
         only reads loop parts): the pair scan checks this with the element
-        bracket, and checks antisymmetry of loop pairs on the pair table.  So
-        every Jacobi triple involving a central basis vector is zero term by
-        term, and the triple scan runs over loop triples, per (residue,
-        position) triple through `_cyclic_failures`.
+        bracket, and reads antisymmetry of loop pairs from
+        `_antisymmetry_failures`.  So every Jacobi triple involving a central
+        basis vector is zero term by term, and the triple scan runs over loop
+        triples, per (residue, position) triple through `_cyclic_failures`.
         """
         basis = self.extended_window_basis(window)
-        loop_basis = self.twisted.window_basis(window)
-        nl = len(loop_basis)
+        nl = len(self.twisted.window_basis(window))
+        broken_loop_pairs = {}  # i -> the j of its failing loop pairs, ascending
+        for i, j, _, _ in self._antisymmetry_failures(window):
+            broken_loop_pairs.setdefault(i, []).append(j)
         failures = []
-        npairs = 0
         for i, x in enumerate(basis):
-            for j in range(i, len(basis)):
-                npairs += 1
-                if j < nl:
-                    (mu, a, _), (nu, b, _) = loop_basis[i], loop_basis[j]
-                    loop, central = self._pair_sum((mu, a, nu, b), (nu, b, mu, a))
-                    broken = any(loop) or not central.is_zero()
-                else:
-                    y = basis[j]
-                    broken = not (self.bracket(x, y) + self.bracket(y, x)).is_zero()
-                if broken:
+            for j in broken_loop_pairs.get(i, ()):
+                failures.append({"kind": "antisymmetry", "pair": [i, j]})
+            for j in range(max(i, nl), len(basis)):
+                y = basis[j]
+                if not (self.bracket(x, y) + self.bracket(y, x)).is_zero():
                     failures.append({"kind": "antisymmetry", "pair": [i, j]})
-                if i >= nl and not self.bracket(x, basis[j]).is_zero():
+                if i >= nl and not self.bracket(x, y).is_zero():
                     failures.append({"kind": "centrality", "pair": [i, j]})
         for i, j, k, _, _ in self._cyclic_failures(window):
             failures.append({"kind": "jacobi", "triple": [i, j, k]})
         return {
             "passed": not failures,
             "basis_size": len(basis),
-            "pairs": npairs,
+            "pairs": len(basis) * (len(basis) + 1) // 2,
             "triples": comb(nl, 3),
             "failures": failures,
         }
@@ -629,9 +641,7 @@ class CentralExtension:
             for j in range(i, len(basis)):
                 bdeg, bpos, bel = basis[j]
                 ((eb, vb),) = bel.terms.items()
-                cls = reduce_form(
-                    differential(self.ring.monomial(eb)).scale_poly(self.ring.monomial(ea))
-                )
+                cls = self.cocycle_class_of_pair(ea, eb)
                 if cls.is_zero() or not cls.in_base_part():
                     continue
                 checked += 1

@@ -2,10 +2,14 @@
 
 A form sum_i f_i ds_i is graded by deg(s^beta ds_i) = beta + e_i, so the
 universal derivation d preserves degree and the Galois group acts on each
-graded piece by a single character.  Within degree alpha != 0 the exact
-forms span the single relation vector alpha, and the canonical form
-eliminates the pivot coordinate (the smallest index with alpha_p != 0);
-degree 0 keeps all n coordinates (classes of s_i^{-1} ds_i).
+graded piece by a single character.  A `DifferentialForm` is stored by
+degree: each degree alpha maps to the vector (c_1..c_n) of coefficients of
+s^(alpha - e_i) ds_i, the layout `CentralClass` keeps after reduction, so
+d, the products and the quotient map work one degree at a time.  Within
+degree alpha != 0 the exact forms span the single relation vector alpha,
+and the canonical form eliminates the pivot coordinate (the smallest index
+with alpha_p != 0); degree 0 keeps all n coordinates (classes of
+s_i^{-1} ds_i).
 """
 
 from __future__ import annotations
@@ -17,76 +21,124 @@ from .errors import MismatchError
 from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
 
 
-class DifferentialForm:
-    """sum_i f_i ds_i with Laurent coefficients, immutable by convention."""
+def _add_pieces(left: dict, right: dict) -> dict:
+    """Degree-wise sum of two degree -> vector maps; all-zero sums are dropped."""
+    out = dict(left)
+    for degree, vec in right.items():
+        cur = out.get(degree)
+        if cur is None:
+            out[degree] = vec
+        else:
+            total = tuple(map(add, cur, vec))
+            if any(total):
+                out[degree] = total
+            else:
+                del out[degree]
+    return out
 
-    __slots__ = ("ring", "comps")
+
+class DifferentialForm:
+    """sum_i f_i ds_i with Laurent coefficients, immutable by convention.
+
+    `pieces` maps each degree alpha to the coefficient vector (c_1..c_n) of
+    s^(alpha - e_i) ds_i; no stored vector is all zero.  The constructor takes
+    the per-variable components f_1..f_n, and `comps` rebuilds them.
+    """
+
+    __slots__ = ("ring", "pieces")
 
     def __init__(self, ring: LaurentRing, comps):
         comps = tuple(comps)
         if len(comps) != ring.n:
             raise MismatchError(f"expected {ring.n} components, got {len(comps)}")
-        for c in comps:
+        zero = ring.field.zero
+        pieces = {}
+        for i, c in enumerate(comps):
             if c.ring is not ring and c.ring != ring:
                 raise MismatchError("component from a different ring")
+            unit = ring._units[i]
+            # distinct beta in one component give distinct degrees: slot i is set once
+            for beta, coeff in c.terms.items():
+                degree = tuple(map(add, beta, unit))
+                vec = pieces.get(degree)
+                if vec is None:
+                    vec = pieces[degree] = [zero] * ring.n
+                vec[i] = coeff
         self.ring = ring
-        self.comps = comps
+        self.pieces = {d: tuple(v) for d, v in pieces.items()}
+
+    @classmethod
+    def _graded(cls, ring: LaurentRing, pieces: dict) -> "DifferentialForm":
+        """A form over pieces already free of all-zero vectors, taken as is."""
+        form = cls.__new__(cls)
+        form.ring = ring
+        form.pieces = pieces
+        return form
+
+    @property
+    def comps(self):
+        """The components f_1..f_n of sum_i f_i ds_i, rebuilt from the pieces."""
+        ring = self.ring
+        terms = [{} for _ in range(ring.n)]
+        for degree, vec in self.pieces.items():
+            for i, c in enumerate(vec):
+                if c:
+                    terms[i][tuple(map(sub, degree, ring._units[i]))] = c
+        return tuple(LaurentPoly._nonzero(ring, t) for t in terms)
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm) or other.ring != self.ring:
             raise MismatchError("differential forms from different rings")
-        return DifferentialForm(
-            self.ring, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
+        return DifferentialForm._graded(self.ring, _add_pieces(self.pieces, other.pieces))
 
     def __neg__(self):
-        return DifferentialForm(self.ring, tuple(-c for c in self.comps))
+        return DifferentialForm._graded(
+            self.ring, {d: tuple(-x for x in v) for d, v in self.pieces.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return DifferentialForm(self.ring, tuple(c * scalar for c in self.comps))
+        c = self.ring.field.scalar(scalar)
+        pieces = {d: tuple(x * c for x in v) for d, v in self.pieces.items()} if c else {}
+        return DifferentialForm._graded(self.ring, pieces)
 
     __rmul__ = __mul__
 
     def scale_poly(self, p: LaurentPoly) -> "DifferentialForm":
-        return DifferentialForm(self.ring, tuple(p * c for c in self.comps))
+        """p * sum_i f_i ds_i: the term c s^e moves degree alpha to alpha + e."""
+        out = {}
+        for e, c in p.terms.items():
+            # one term shifts distinct degrees to distinct degrees, and a
+            # product of nonzero field elements is nonzero: only sums cancel
+            shifted = {
+                tuple(map(add, e, degree)): tuple([x * c if x else x for x in vec])
+                for degree, vec in self.pieces.items()
+            }
+            out = _add_pieces(out, shifted) if out else shifted
+        return DifferentialForm._graded(self.ring, out)
 
     def galois(self, g: GaloisElement) -> "DifferentialForm":
-        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i."""
+        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i: degree alpha scales by chi_g(alpha)."""
         group = self.ring.group
-        out = []
-        for i, c in enumerate(self.comps):
-            chi = group.character(g, tuple(1 if j == i else 0 for j in range(self.ring.n)))
-            out.append(c.galois(g) * chi)
-        return DifferentialForm(self.ring, tuple(out))
+        if g.group != group:
+            raise MismatchError("Galois element does not match the ring")
+        out = {}
+        for d, v in self.pieces.items():
+            chi = group.character(g, d)
+            out[d] = tuple(x * chi for x in v)
+        return DifferentialForm._graded(self.ring, out)
 
     def __eq__(self, other):
         return (
             isinstance(other, DifferentialForm)
             and other.ring == self.ring
-            and other.comps == self.comps
+            and other.pieces == self.pieces
         )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def graded_pieces(self):
-        """Map degree alpha -> coefficient vector (c_1..c_n) of s^(alpha-e_i) ds_i."""
-        ring = self.ring
-        zero = ring.field.zero
-        out = {}
-        for i, comp in enumerate(self.comps):
-            unit = ring._units[i]
-            # distinct beta in one component give distinct degrees: slot i is set once
-            for beta, c in comp.terms.items():
-                degree = tuple(map(add, beta, unit))
-                vec = out.get(degree)
-                if vec is None:
-                    vec = out[degree] = [zero] * ring.n
-                vec[i] = c
-        return out
+        return not self.pieces
 
     def __str__(self):
         parts = [
@@ -96,16 +148,17 @@ class DifferentialForm:
 
 
 def differential(p: LaurentPoly) -> DifferentialForm:
-    """d(s^alpha) = sum_i alpha_i s^(alpha - e_i) ds_i, extended linearly."""
-    ring = p.ring
-    units = ring._units
-    comps = [{} for _ in units]
-    # distinct alpha give distinct alpha - e_i, and c * a != 0 for c != 0, a != 0
-    for alpha, c in p.terms.items():
-        for i, a in enumerate(alpha):
-            if a:
-                comps[i][tuple(map(sub, alpha, units[i]))] = c * a
-    return DifferentialForm(ring, tuple(LaurentPoly._nonzero(ring, t) for t in comps))
+    """d(c s^alpha) = c alpha at degree alpha, extended linearly; constants give 0."""
+    zero = p.ring.field.zero
+    # distinct alpha give distinct degrees, and c * a != 0 for c != 0, a != 0
+    return DifferentialForm._graded(
+        p.ring,
+        {
+            alpha: tuple(c * a if a else zero for a in alpha)
+            for alpha, c in p.terms.items()
+            if any(alpha)
+        },
+    )
 
 
 def pivot_index(degree) -> int | None:
@@ -123,8 +176,8 @@ def slot_indices(ring: LaurentRing, degree):
 
 
 def _reduce_vector(ring, degree, vec):
-    p = pivot_index(degree)
     out = list(vec)
+    p = pivot_index(degree)
     if p is not None and out[p]:
         # subtract (out[p] / degree[p]) * degree; the pivot slot becomes zero
         factor = None
@@ -174,16 +227,10 @@ class CentralClass:
 
     def __add__(self, other):
         other = self._check(other)
-        field = self.ring.field
-        out = {d: list(v) for d, v in self.coords.items()}
-        for d, v in other.coords.items():
-            cur = out.get(d)
-            if cur is None:
-                out[d] = list(v)
-            else:
-                for i in range(self.ring.n):
-                    cur[i] = cur[i] + v[i]
-        return CentralClass(self.ring, out, reduced=True)
+        out = CentralClass.__new__(CentralClass)
+        out.ring = self.ring
+        out.coords = _add_pieces(self.coords, other.coords)
+        return out
 
     def __neg__(self):
         return CentralClass(
@@ -271,7 +318,7 @@ class CentralClass:
 
 def reduce_form(form: DifferentialForm) -> CentralClass:
     """Quotient map Omega_S -> Omega_S/dS in canonical coordinates."""
-    return CentralClass(form.ring, form.graded_pieces())
+    return CentralClass(form.ring, form.pieces)
 
 
 def class_basis_at(ring: LaurentRing, degree):

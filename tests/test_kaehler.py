@@ -209,3 +209,82 @@ def test_pivot_convention():
     assert slot_indices(ring, (0, 0)) == [0, 1]
     with pytest.raises(ValueError):
         CentralClass.basis_class(ring, (1, 1), 0)
+
+
+# -- the graded storage of forms ----------------------------------------------
+
+
+def ring_23():
+    return LaurentRing(CyclotomicField(6), (2, 3))
+
+
+def random_forms(ring, max_terms=3, span=2):
+    return st.tuples(*(random_polys(ring, max_terms, span) for _ in range(ring.n))).map(
+        lambda comps: DifferentialForm(ring, comps)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_form_components_round_trip(data):
+    ring = ring_n2()
+    comps = data.draw(st.tuples(random_polys(ring), random_polys(ring)))
+    form = DifferentialForm(ring, comps)
+    assert form.comps == comps
+    assert DifferentialForm(ring, form.comps) == form
+    # pieces: degree beta + e_i holds the coefficient of s^beta ds_i in slot i
+    for degree, vec in form.pieces.items():
+        assert any(vec)
+        for i, c in enumerate(vec):
+            beta = tuple(a - (j == i) for j, a in enumerate(degree))
+            assert comps[i].terms.get(beta, ring.field.zero) == c
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_form_galois_is_the_per_component_definition(data):
+    # ^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i, with ^g f from LaurentPoly.galois
+    ring = ring_23()
+    form = data.draw(random_forms(ring))
+    for g in ring.group.elements():
+        expected = tuple(
+            f.galois(g) * ring.field.root_of_unity(m, gi)
+            for f, m, gi in zip(form.comps, ring.orders, g.components)
+        )
+        assert form.galois(g).comps == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scale_poly_is_the_per_component_product(data):
+    ring = ring_n2()
+    form = data.draw(random_forms(ring))
+    p = data.draw(random_polys(ring))
+    assert form.scale_poly(p).comps == tuple(p * f for f in form.comps)
+    # products that cancel leave no stored zero vector
+    assert form.scale_poly(p).scale_poly(ring.zero).is_zero()
+    assert (form.scale_poly(p) + form.scale_poly(-p)).pieces == {}
+
+
+@pytest.mark.parametrize("ring", [ring_n1(), ring_n2(), ring_23()], ids=["n1", "n2", "23"])
+def test_differential_of_a_constant_is_the_zero_form(ring):
+    for value in (1, Fraction(-3, 2), 0):
+        form = differential(ring.scalar_poly(value))
+        assert form.is_zero() and form.pieces == {}
+        assert form == DifferentialForm(ring, [ring.zero] * ring.n)
+    # the constant term of a polynomial adds nothing to its differential
+    p = ring.monomial((1,) * ring.n, 2)
+    assert differential(p + ring.scalar_poly(5)) == differential(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_form_add_and_neg_cancel(data):
+    ring = ring_n2()
+    form = data.draw(random_forms(ring))
+    other = data.draw(random_forms(ring))
+    assert (form + (-form)).is_zero()
+    assert (form - form).is_zero() and (form * 0).is_zero()
+    assert ((form + other) - other) == form
+    assert (form + other).comps == tuple(f + h for f, h in zip(form.comps, other.comps))
+    assert (-form).comps == tuple(-f for f in form.comps)
