@@ -108,6 +108,8 @@ class DifferentialForm:
 
     def scale_poly(self, p: LaurentPoly) -> "DifferentialForm":
         """p * sum_i f_i ds_i: the term c s^e moves degree alpha to alpha + e."""
+        if p.ring is not self.ring and p.ring != self.ring:
+            raise MismatchError("Laurent polynomial from a different ring")
         out = {}
         for e, c in p.terms.items():
             # one term shifts distinct degrees to distinct degrees, and a
@@ -120,7 +122,8 @@ class DifferentialForm:
         return DifferentialForm._graded(self.ring, out)
 
     def galois(self, g: GaloisElement) -> "DifferentialForm":
-        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i: degree alpha scales by chi_g(alpha)."""
+        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i, so degree alpha scales by
+        the character value chi_g(alpha)."""
         group = self.ring.group
         if g.group != group:
             raise MismatchError("Galois element does not match the ring")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multiloop import linalg
 from multiloop.cyclotomic import CyclotomicField
+from multiloop.errors import MismatchError
 from multiloop.kaehler import (
     CentralClass,
     DifferentialForm,
@@ -288,3 +289,16 @@ def test_form_add_and_neg_cancel(data):
     assert ((form + other) - other) == form
     assert (form + other).comps == tuple(f + h for f, h in zip(form.comps, other.comps))
     assert (-form).comps == tuple(-f for f in form.comps)
+
+
+def test_form_operations_refuse_a_foreign_ring():
+    ring, other = ring_23(), LaurentRing(CyclotomicField(6), (3, 2))
+    form = differential(ring.monomial((1, 1)))
+    with pytest.raises(MismatchError):
+        form.scale_poly(other.monomial((1, 0)))
+    with pytest.raises(MismatchError):
+        form.galois(other.group.generator(0))
+    with pytest.raises(MismatchError):
+        form + differential(other.monomial((1, 1)))
+    with pytest.raises(MismatchError):
+        DifferentialForm(ring, (ring.one, other.one))
