@@ -190,10 +190,6 @@ def _window_triples(basis, lam, window: int):
                         yield i, j, k
 
 
-def zero_cochain(twisted, lam, window: int, vdim: int = 1) -> WindowedCochain:
-    return WindowedCochain(twisted, lam, window, vdim, {})
-
-
 def _pair_blocks(twisted, lam, window: int):
     """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam."""
     for mu in box_degrees(twisted.ring.n, window):

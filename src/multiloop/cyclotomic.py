@@ -24,22 +24,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"conductor must be positive, got {m}")
-    result = m
-    p, n = 2, m
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def _poly_divmod(num, den):
     """Exact division of rational coefficient lists (lowest degree first)."""
     num = list(num)
@@ -438,15 +422,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def multiplicative_order(self, bound: int = 10_000) -> int:
-        """Smallest j >= 1 with self^j == 1; raises if none up to bound."""
-        acc = self
-        for j in range(1, bound + 1):
-            if acc == self.field.one:
-                return j
-            acc = acc * self
-        raise ValueError("element has no small multiplicative order")
 
     def to_complex(self) -> complex:
         m = self.field.conductor

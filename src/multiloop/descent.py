@@ -43,13 +43,6 @@ class LoopAlgebra:
             return self.zero()
         return LoopElement(self, {exponent: tuple(gvec)})
 
-    def tensor(self, gvec, poly: LaurentPoly) -> "LoopElement":
-        """x tensor p for a polynomial p."""
-        out = self.zero()
-        for exp, c in poly.terms.items():
-            out = out + self.pure([c * v for v in gvec], exp)
-        return out
-
     def bracket(self, x: "LoopElement", y: "LoopElement") -> "LoopElement":
         terms = {}
         alg = self.algebra
@@ -156,12 +149,6 @@ class LoopElement:
             self.parent,
             {e: tuple(auto.apply(list(v))) for e, v in self.terms.items()},
         )
-
-    def to_json(self):
-        out = []
-        for e in sorted(self.terms):
-            out.append({"exp": list(e), "vec": [str(x) for x in self.terms[e]]})
-        return out
 
     def __str__(self):
         if not self.terms:

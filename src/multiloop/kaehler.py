@@ -2,14 +2,14 @@
 
 A form sum_i f_i ds_i is graded by deg(s^beta ds_i) = beta + e_i, so the
 universal derivation d preserves degree and the Galois group acts on each
-graded piece by a single character.  A `DifferentialForm` is stored by
-degree: each degree alpha maps to the vector (c_1..c_n) of coefficients of
-s^(alpha - e_i) ds_i, the layout `CentralClass` keeps after reduction, so
-d, the products and the quotient map work one degree at a time.  Within
-degree alpha != 0 the exact forms span the single relation vector alpha,
-and the canonical form eliminates the pivot coordinate (the smallest index
-with alpha_p != 0); degree 0 keeps all n coordinates (classes of
-s_i^{-1} ds_i).
+graded piece by a single character.  A `DifferentialForm` and a
+`CentralClass` share one layout, `_Graded`: each degree alpha maps to the
+vector (c_1..c_n) of coefficients of s^(alpha - e_i) ds_i, and sums, scalar
+multiples, the Galois action and equality are defined there once.  d, the
+products and the quotient map work one degree at a time.  Within degree
+alpha != 0 the exact forms span the single relation vector alpha, and the
+canonical form eliminates the pivot coordinate (the smallest index with
+alpha_p != 0); degree 0 keeps all n coordinates (classes of s_i^{-1} ds_i).
 """
 
 from __future__ import annotations
@@ -37,15 +37,98 @@ def _add_pieces(left: dict, right: dict) -> dict:
     return out
 
 
-class DifferentialForm:
-    """sum_i f_i ds_i with Laurent coefficients, immutable by convention.
+class _Graded:
+    """A degree -> coefficient-vector map over one Laurent ring.
 
-    `pieces` maps each degree alpha to the coefficient vector (c_1..c_n) of
-    s^(alpha - e_i) ds_i; no stored vector is all zero.  The constructor takes
-    the per-variable components f_1..f_n, and `comps` rebuilds them.
+    `pieces` maps each degree alpha to an n-vector; no stored vector is all
+    zero.  One-forms and their classes share this layout, so the linear
+    operations, the Galois action and equality live here once; the two kinds
+    never mix.
     """
 
     __slots__ = ("ring", "pieces")
+
+    @classmethod
+    def _graded(cls, ring: LaurentRing, pieces: dict):
+        """An element over pieces already free of all-zero vectors, taken as is."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.pieces = pieces
+        return out
+
+    def _check(self, other):
+        if other.__class__ is not self.__class__:
+            raise MismatchError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise MismatchError(f"{type(self).__name__}s from different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        out = self.__class__.__new__(self.__class__)
+        out.ring = self.ring
+        out.pieces = _add_pieces(self.pieces, other.pieces)
+        return out
+
+    def __neg__(self):
+        return self._graded(
+            self.ring, {d: tuple(-x for x in v) for d, v in self.pieces.items()}
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        c = self.ring.field.scalar(scalar)
+        pieces = {d: tuple(x * c for x in v) for d, v in self.pieces.items()} if c else {}
+        return self._graded(self.ring, pieces)
+
+    __rmul__ = __mul__
+
+    def galois(self, g: GaloisElement):
+        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i, so degree alpha scales by
+        the character value chi_g(alpha)."""
+        group = self.ring.group
+        if g.group != group:
+            raise MismatchError("Galois element does not match the ring")
+        out = {}
+        for d, v in self.pieces.items():
+            chi = group.character(g, d)
+            out[d] = tuple(x * chi for x in v)
+        return self._graded(self.ring, out)
+
+    def __eq__(self, other):
+        self._check(other)
+        return self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash(frozenset(self.pieces.items()))
+
+    def __bool__(self):
+        return bool(self.pieces)
+
+    def is_zero(self) -> bool:
+        return not self.pieces
+
+    def degrees(self):
+        return sorted(self.pieces)
+
+    def component(self, degree):
+        return self.pieces.get(
+            tuple(degree), tuple([self.ring.field.zero] * self.ring.n)
+        )
+
+
+class DifferentialForm(_Graded):
+    """sum_i f_i ds_i with Laurent coefficients, immutable by convention.
+
+    `pieces[alpha]` is the coefficient vector (c_1..c_n) of s^(alpha - e_i)
+    ds_i.  The constructor takes the per-variable components f_1..f_n, and
+    `comps` rebuilds them.
+    """
+
+    __slots__ = ()
 
     def __init__(self, ring: LaurentRing, comps):
         comps = tuple(comps)
@@ -67,14 +150,6 @@ class DifferentialForm:
         self.ring = ring
         self.pieces = {d: tuple(v) for d, v in pieces.items()}
 
-    @classmethod
-    def _graded(cls, ring: LaurentRing, pieces: dict) -> "DifferentialForm":
-        """A form over pieces already free of all-zero vectors, taken as is."""
-        form = cls.__new__(cls)
-        form.ring = ring
-        form.pieces = pieces
-        return form
-
     @property
     def comps(self):
         """The components f_1..f_n of sum_i f_i ds_i, rebuilt from the pieces."""
@@ -85,26 +160,6 @@ class DifferentialForm:
                 if c:
                     terms[i][tuple(map(sub, degree, ring._units[i]))] = c
         return tuple(LaurentPoly._nonzero(ring, t) for t in terms)
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        if not isinstance(other, DifferentialForm) or other.ring != self.ring:
-            raise MismatchError("differential forms from different rings")
-        return DifferentialForm._graded(self.ring, _add_pieces(self.pieces, other.pieces))
-
-    def __neg__(self):
-        return DifferentialForm._graded(
-            self.ring, {d: tuple(-x for x in v) for d, v in self.pieces.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        c = self.ring.field.scalar(scalar)
-        pieces = {d: tuple(x * c for x in v) for d, v in self.pieces.items()} if c else {}
-        return DifferentialForm._graded(self.ring, pieces)
-
-    __rmul__ = __mul__
 
     def scale_poly(self, p: LaurentPoly) -> "DifferentialForm":
         """p * sum_i f_i ds_i: the term c s^e moves degree alpha to alpha + e."""
@@ -120,28 +175,6 @@ class DifferentialForm:
             }
             out = _add_pieces(out, shifted) if out else shifted
         return DifferentialForm._graded(self.ring, out)
-
-    def galois(self, g: GaloisElement) -> "DifferentialForm":
-        """^g(f ds_i) = (^g f) * zeta_{m_i}^{g_i} ds_i, so degree alpha scales by
-        the character value chi_g(alpha)."""
-        group = self.ring.group
-        if g.group != group:
-            raise MismatchError("Galois element does not match the ring")
-        out = {}
-        for d, v in self.pieces.items():
-            chi = group.character(g, d)
-            out[d] = tuple(x * chi for x in v)
-        return DifferentialForm._graded(self.ring, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DifferentialForm)
-            and other.ring == self.ring
-            and other.pieces == self.pieces
-        )
-
-    def is_zero(self) -> bool:
-        return not self.pieces
 
     def __str__(self):
         parts = [
@@ -194,19 +227,19 @@ def _reduce_vector(ring, degree, vec):
     return out
 
 
-class CentralClass:
+class CentralClass(_Graded):
     """Canonical-form element of Omega_S/dS: pivot-reduced graded coordinates."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ()
 
     def __init__(self, ring: LaurentRing, raw: dict, reduced: bool = False):
         self.ring = ring
-        coords = {}
+        pieces = {}
         for degree, vec in raw.items():
             out = list(vec) if reduced else _reduce_vector(ring, degree, vec)
             if any(out):
-                coords[tuple(degree)] = tuple(out)
-        self.coords = coords
+                pieces[tuple(degree)] = tuple(out)
+        self.pieces = pieces
 
     @classmethod
     def zero(cls, ring: LaurentRing) -> "CentralClass":
@@ -223,90 +256,15 @@ class CentralClass:
         vec[index] = ring.field.one
         return cls(ring, {degree: vec}, reduced=True)
 
-    def _check(self, other):
-        if not isinstance(other, CentralClass) or other.ring != self.ring:
-            raise MismatchError("central classes from different rings")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        out = CentralClass.__new__(CentralClass)
-        out.ring = self.ring
-        out.coords = _add_pieces(self.coords, other.coords)
-        return out
-
-    def __neg__(self):
-        return CentralClass(
-            self.ring,
-            {d: [-x for x in v] for d, v in self.coords.items()},
-            reduced=True,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = self.ring.field.scalar(scalar)
-        return CentralClass(
-            self.ring,
-            {d: [x * scalar for x in v] for d, v in self.coords.items()},
-            reduced=True,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._check(other)
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(frozenset((d, v) for d, v in self.coords.items()))
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def degrees(self):
-        return sorted(self.coords)
-
-    def component(self, degree):
-        return self.coords.get(
-            tuple(degree), tuple([self.ring.field.zero] * self.ring.n)
-        )
-
-    def galois(self, g: GaloisElement) -> "CentralClass":
-        """Degree-alpha component scales by the character value at alpha."""
-        group = self.ring.group
-        out = {}
-        for d, v in self.coords.items():
-            chi = group.character(g, d)
-            out[d] = [x * chi for x in v]
-        return CentralClass(self.ring, out, reduced=True)
-
     def in_base_part(self) -> bool:
         """True iff every supported degree lies in the base lattice mZ^n."""
-        return all(self.ring.in_base_lattice(d) for d in self.coords)
-
-    def to_json(self):
-        out = []
-        for d in sorted(self.coords):
-            v = self.coords[d]
-            out.append(
-                {
-                    "degree": list(d),
-                    "coords": [str(x) for x in v],
-                    "pivot": pivot_index(d),
-                }
-            )
-        return out
+        return all(self.ring.in_base_lattice(d) for d in self.pieces)
 
     def to_text(self) -> str:
         """Readable sum of surviving generators, e.g. "2 * s^(-1) ds1 (mod dS)"."""
         parts = []
-        for d in sorted(self.coords):
-            v = self.coords[d]
+        for d in sorted(self.pieces):
+            v = self.pieces[d]
             for i, x in enumerate(v):
                 if x:
                     mono = tuple(a - (1 if j == i else 0) for j, a in enumerate(d))

@@ -7,7 +7,6 @@ Galois group G = prod Z/m_i acts by monomial characters s_i -> zeta_{m_i} s_i.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -109,29 +108,6 @@ class GaloisElement:
         return f"g{list(self.components)}"
 
 
-def _split_terms(s: str):
-    """Split a polynomial string at top-level " + " / " - " separators."""
-    parts, cur, depth, i = [], [], 0, 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and s.startswith(" + ", i):
-            parts.append("".join(cur))
-            cur, i = [], i + 3
-            continue
-        if depth == 0 and s.startswith(" - ", i):
-            parts.append("".join(cur))
-            cur, i = ["-"], i + 3
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
-    return parts
-
-
 class LaurentRing:
     """S = k[s_1^{+-1},...,s_n^{+-1}] with R the m-divisible exponent subring."""
 
@@ -193,54 +169,6 @@ class LaurentRing:
 
     def __repr__(self):
         return f"LaurentRing(n={self.n}, orders={self.orders}, conductor={self.field.conductor})"
-
-    def parse(self, text: str) -> "LaurentPoly":
-        """Inverse of LaurentPoly.__str__, e.g. "3/2*s1^-2*s2^3 + s1"."""
-        s = text.strip()
-        if s == "0":
-            return self.zero
-        terms = {}
-        for chunk in _split_terms(s):
-            chunk = chunk.strip()
-            negate = chunk.startswith("-") and not chunk.startswith("-s")
-            sign_from_body = False
-            if chunk.startswith("-s"):
-                sign_from_body = True
-                chunk = chunk[1:]
-            elif negate:
-                chunk = chunk[1:]
-            if chunk.startswith("("):
-                close = chunk.index(")")
-                coeff = self.field.parse(chunk[1:close])
-                body = chunk[close + 1 :].lstrip("*")
-            elif chunk.startswith("s"):
-                coeff, body = self.field.one, chunk
-            elif "*s" in chunk:
-                coeff_txt, body = chunk.split("*s", 1)
-                coeff = self.field.parse(coeff_txt)
-                body = "s" + body
-            else:
-                coeff, body = self.field.parse(chunk), ""
-            if negate or sign_from_body:
-                coeff = -coeff
-            exp = [0] * self.n
-            if body:
-                for var in body.split("*"):
-                    m = re.fullmatch(r"s(\d+)(?:\^(-?\d+))?", var)
-                    if not m:
-                        raise ValueError(f"malformed monomial {var!r} in {text!r}")
-                    idx = int(m.group(1)) - 1
-                    if not 0 <= idx < self.n:
-                        raise ValueError(f"variable s{idx + 1} out of range in {text!r}")
-                    exp[idx] += int(m.group(2)) if m.group(2) else 1
-            key = tuple(exp)
-            c = terms.get(key, self.field.zero) + coeff
-            if c:
-                terms[key] = c
-            elif key in terms:
-                del terms[key]
-        return LaurentPoly(self, terms)
-
 
 class LaurentPoly:
     """Finitely supported exponent-vector -> coefficient map; immutable by convention."""

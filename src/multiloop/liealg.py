@@ -631,9 +631,6 @@ class EigenspaceDecomposition:
             res: linalg.SpanSolver(field, basis) for res, basis in self.components.items()
         }
 
-    def residue(self, degree):
-        return tuple(a % m for a, m in zip(degree, self.orders))
-
     def component(self, residue):
         return self.components[tuple(residue)]
 

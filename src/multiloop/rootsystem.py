@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import StructureError
 
@@ -95,21 +96,10 @@ def _symmetrizer(cartan):
                 queue.append(j)
     if any(x is None for x in d):
         raise StructureError("Cartan matrix is not connected")
-    scale = 1
-    for x in d:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
-    d = [x * scale for x in d]
-    g = 0
-    for x in d:
-        g = _gcd(g, x.numerator)
-    return tuple(int(x / g) for x in d)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+    scale = lcm(*(x.denominator for x in d))
+    d = [int(x * scale) for x in d]
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class RootSystem:

@@ -22,10 +22,17 @@ VALID_FAMILIES = "ABCDEFG"
 
 
 def _integer(value) -> int:
-    # JSON true/false would otherwise pass int() as 1/0
-    if isinstance(value, bool):
+    # JSON true/false would otherwise pass int() as 1/0, and int() truncates 2.7
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _list(value) -> list:
+    # list() of a string or an object would read its characters or keys
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
 
 
 @dataclass
@@ -45,8 +52,8 @@ class SessionSpec:
             spec = cls(
                 family=str(algebra["family"]).upper(),
                 rank=_integer(algebra["rank"]),
-                autos=list(data["autos"]),
-                orders=tuple(_integer(m) for m in data["orders"]),
+                autos=list(_list(data["autos"])),
+                orders=tuple(_integer(m) for m in _list(data["orders"])),
                 window=_integer(data.get("window", 2)),
                 margin=_integer(data.get("margin", 1)),
                 seed=_integer(data.get("seed", 0)),
@@ -141,8 +148,10 @@ class Session:
         if kind == "identity":
             return identity_automorphism(self.algebra)
         if kind == "diagram":
-            return diagram_automorphism(self.algebra, [int(p) for p in data["perm"]])
-        entries = data["entries"]
+            return diagram_automorphism(
+                self.algebra, [_integer(p) for p in _list(data["perm"])]
+            )
+        entries = [_list(row) for row in _list(data["entries"])]
         dim = self.algebra.dim
         if len(entries) != dim or any(len(r) != dim for r in entries):
             raise SpecError(
@@ -157,7 +166,7 @@ class Session:
             ]
             for j in range(dim)
         ]
-        return LieAutomorphism(self.algebra, columns, order=int(data["order"]))
+        return LieAutomorphism(self.algebra, columns, order=_integer(data["order"]))
 
     # -- summaries -----------------------------------------------------------
 

@@ -128,8 +128,16 @@ _IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         ({"family": "A", "rank": 1},
          {"kind": "matrix", "entries": [[0.5, 0, 0]] + _IDENTITY_3[1:], "order": 1}),
         ({"family": "A", "rank": 2}, {"kind": "diagram", "perm": ["a", "b"]}),
+        ({"family": "A", "rank": 2}, {"kind": "diagram", "perm": "10"}),
+        ({"family": "A", "rank": 2}, {"kind": "diagram", "perm": [1.5, 0]}),
+        ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": _IDENTITY_3, "order": 1.9}),
+        ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": ["100", "010", "001"], "order": 1}),
+        ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": "abc", "order": 1}),
     ],
-    ids=["zero-denominator", "float-entry", "non-integer-perm"],
+    ids=[
+        "zero-denominator", "float-entry", "non-integer-perm", "string-perm",
+        "fractional-perm-entry", "fractional-order", "string-rows", "string-entries",
+    ],
 )
 def test_malformed_automorphism_entries_exit_2(tmp_path, capsys, algebra, auto):
     bad = tmp_path / "bad.json"
@@ -139,7 +147,18 @@ def test_malformed_automorphism_entries_exit_2(tmp_path, capsys, algebra, auto):
     assert err.startswith("error: invalid automorphism spec")
 
 
-@pytest.mark.parametrize("key, value", [("window", "x"), ("window", True), ("seed", "1.5")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window", "x"),
+        ("window", True),
+        ("seed", "1.5"),
+        ("window", 1.5),
+        ("orders", "11"),
+        pytest.param("autos", {"kind": "identity"}, id="autos-object"),
+        pytest.param("algebra", {"family": "A", "rank": 2.7}, id="rank-2.7"),
+    ],
+)
 def test_malformed_integer_fields_exit_2(tmp_path, capsys, key, value):
     data = json.loads((SPECS / "a1_untwisted_n1.json").read_text())
     data[key] = value

@@ -18,7 +18,6 @@ from multiloop.cohomology import (
     invariantize,
     is_windowed_cocycle,
     universal_map_check,
-    zero_cochain,
 )
 from multiloop.errors import MismatchError, StructureError
 from multiloop.kaehler import class_basis_at
@@ -134,7 +133,7 @@ def test_extract_requires_normalization(a1_n1):
 
 def test_extract_zero_cochain(a1_n1):
     ext = a1_n1.ext
-    phi = extract_class_map(ext, zero_cochain(a1_n1.twisted, (0,), 2, 1))
+    phi = extract_class_map(ext, WindowedCochain(a1_n1.twisted, (0,), 2, 1, {}))
     assert phi.on_basis() == [(ext.field.zero,)]
     z = class_basis_at(ext.ring, (0,))[0]
     assert phi.apply(z) == (ext.field.zero,)

@@ -239,14 +239,6 @@ def test_order3_twist_membership(d4_triality):
     assert tw.contains(la.pure(v, (4,)))
 
 
-def test_loop_element_json(a2_twisted):
-    tw = a2_twisted.twisted
-    el = tw.component_basis((1,))[0]
-    data = el.to_json()
-    assert data[0]["exp"] == [1]
-    assert len(data[0]["vec"]) == tw.algebra.dim
-
-
 def test_shape_mismatch(a1_n1, a1_n2):
     with pytest.raises(MismatchError):
         a1_n1.twisted.loopalg.pure(a1_n1.algebra.e(0), (1, 1))

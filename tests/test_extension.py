@@ -213,15 +213,6 @@ def test_triality_extension_suites(d4_triality):
     assert ext.base_ring_pairs(1)["passed"]
 
 
-def test_extended_element_json(a1_n1):
-    ext = a1_n1.ext
-    X = ext.from_loop(ext.loopalg.pure(a1_n1.algebra.e(0), (1,))) + ext.from_central(
-        class_basis_at(ext.ring, (0,))[0]
-    )
-    assert X.loop.to_json() == [{"exp": [1], "vec": [str(x) for x in a1_n1.algebra.e(0)]}]
-    assert X.central.to_json() == [{"degree": [0], "coords": ["1"], "pivot": None}]
-
-
 def test_suites_catch_a_corrupted_structure_constant_and_killing_value(monkeypatch):
     # a fresh session: the pair table of a shared fixture may already be filled
     session = make_session("A", 1, [{"kind": "identity"}], [1])

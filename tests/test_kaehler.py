@@ -197,9 +197,9 @@ def test_base_ring_classes_live_at_their_degree():
 def test_class_serialization():
     ring = ring_n2()
     c = class_basis_at(ring, (1, 1))[0] * Fraction(3, 2)
-    records = c.to_json()
-    assert records == [{"degree": [1, 1], "coords": ["0", "3/2"], "pivot": 0}]
-    assert "(mod dS)" in c.to_text()
+    assert c.pieces == {(1, 1): (ring.field.zero, ring.field.scalar(Fraction(3, 2)))}
+    assert c.to_text() == "3/2 * s^(1, 0) ds2 (mod dS)"
+    assert CentralClass.zero(ring).to_text() == "0 (mod dS)"
 
 
 def test_pivot_convention():
@@ -302,3 +302,47 @@ def test_form_operations_refuse_a_foreign_ring():
         form + differential(other.monomial((1, 1)))
     with pytest.raises(MismatchError):
         DifferentialForm(ring, (ring.one, other.one))
+
+
+# -- the shared graded base of forms and classes --------------------------------
+
+
+def test_forms_and_classes_do_not_mix():
+    ring = ring_n2()
+    form = differential(ring.monomial((1, 2)))
+    cls = class_basis_at(ring, (1, 2))[0]
+    with pytest.raises(MismatchError):
+        form + cls
+    with pytest.raises(MismatchError):
+        cls + form
+    with pytest.raises(MismatchError):
+        cls == form
+    with pytest.raises(MismatchError):
+        form - cls
+
+
+def test_class_galois_refuses_a_foreign_group():
+    ring, other = ring_23(), LaurentRing(CyclotomicField(6), (3, 2))
+    cls = class_basis_at(ring, (2, 3))[0]
+    assert cls.galois(ring.group.generator(0)) == cls
+    with pytest.raises(MismatchError):
+        cls.galois(other.group.generator(0))
+
+
+def test_forms_and_classes_have_no_instance_dict():
+    ring = ring_n2()
+    for x in (differential(ring.monomial((1, 1))), class_basis_at(ring, (0, 0))[0]):
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+
+def test_equal_classes_hash_equal():
+    ring = ring_n2()
+    # s2 ds1 and -s1 ds2 differ by d(s1 s2), so their classes agree
+    a = reduce_form(DifferentialForm(ring, (ring.monomial((0, 1)), ring.zero)))
+    b = reduce_form(DifferentialForm(ring, (ring.zero, ring.monomial((1, 0), -1))))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a * 2, b + b}) == 2
+    basis = class_basis_at(ring, (1, 1))[0]
+    assert hash(basis * Fraction(1, 2) + basis * Fraction(1, 2)) == hash(basis)

@@ -130,27 +130,18 @@ def test_box_degrees():
     assert len(box_degrees(2, 1)) == 9
 
 
-def test_string_round_trip_examples():
+def test_str_examples():
     ring = ring_m23()
     p = ring.from_terms(
         [((-2, 3), Fraction(3, 2)), ((0, 0), Fraction(-1)), ((1, 0), ring.field.zeta())]
     )
-    assert ring.parse(str(p)) == p
+    assert str(p) == "3/2*s1^-2*s2^3 - 1 + (z)*s1"
     assert str(ring.zero) == "0"
-    assert ring.parse("0") == ring.zero
-    assert ring.parse("3/2*s1^-2*s2^3") == ring.monomial((-2, 3), Fraction(3, 2))
+    assert str(ring.monomial((-2, 3), Fraction(3, 2))) == "3/2*s1^-2*s2^3"
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_string_round_trip_random(data):
-    ring = ring_m23()
-    p = data.draw(random_polys(ring))
-    assert ring.parse(str(p)) == p
-
-
-def test_cyclotomic_coefficient_round_trip():
+def test_str_of_cyclotomic_coefficients():
     ring = LaurentRing(CyclotomicField(4), (4,))
     z = ring.field.zeta()
     p = ring.monomial((1,), 1 - z) + ring.monomial((-2,), z)
-    assert ring.parse(str(p)) == p
+    assert str(p) == "(z)*s1^-2 + (1 - z)*s1"
