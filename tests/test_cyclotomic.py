@@ -56,6 +56,8 @@ def test_root_of_unity_order():
     assert z**12 == one and all(z**j != one for j in range(1, 12))
     w = root_of_unity(12, 4)  # order 12/gcd(12,4)
     assert w**3 == one and w != one and w**2 != one
+    for j in range(1, 12):
+        assert root_of_unity(12, j) != one
 
 
 def test_bad_conductor():

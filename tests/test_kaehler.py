@@ -301,6 +301,8 @@ def test_form_operations_refuse_a_foreign_ring():
     with pytest.raises(MismatchError):
         form + differential(other.monomial((1, 1)))
     with pytest.raises(MismatchError):
+        form == differential(other.monomial((1, 1)))
+    with pytest.raises(MismatchError):
         DifferentialForm(ring, (ring.one, other.one))
 
 
