@@ -1,12 +1,13 @@
 """Windowed graded 2-cohomology of the descended algebra by exact linear algebra.
 
-A windowed cochain has one internal degree lam: it stores antisymmetric
-bilinear components on pairs of window components whose degrees sum to lam,
-with values in k^vdim.  The cocycle space restricted to a window carries
-fewer constraints than the full algebra, so its dimension modulo windowed
-coboundaries is an upper bound for the graded quotient; when it meets the
-lower bound coming from independent canonical-cocycle slices, the graded
-dimension is certified.
+A windowed cochain has one internal degree lam: it is an antisymmetric
+bilinear map on pairs of window components whose degrees sum to lam, with
+values in k^vdim, stored as one sparse vector per value coordinate over the
+canonical unknowns of its `CochainIndex`.  The cocycle space restricted to a
+window carries fewer constraints than the full algebra, so its dimension
+modulo windowed coboundaries is an upper bound for the graded quotient; when
+it meets the lower bound coming from independent canonical-cocycle slices,
+the graded dimension is certified.
 """
 
 from __future__ import annotations
@@ -24,58 +25,31 @@ def _in_box(degree, d):
 
 
 class WindowedCochain:
-    """Antisymmetric window cochain of internal degree lam with values in k^vdim."""
+    """Antisymmetric window cochain of internal degree lam with values in k^vdim.
 
-    def __init__(self, twisted, lam, window: int, vdim: int, comp: dict):
-        self.twisted = twisted
-        self.lam = tuple(lam)
-        self.window = window
-        self.vdim = vdim
-        field = twisted.field
-        self.zero_value = tuple([field.zero] * vdim)
-        clean = {}
-        for (mu, nu), block in comp.items():
-            mu, nu = tuple(mu), tuple(nu)
-            if mu > nu:
-                raise MismatchError("components must be stored with mu <= nu")
-            if tuple(a + b for a, b in zip(mu, nu)) != self.lam:
-                raise MismatchError(f"pair {(mu, nu)} does not sum to {self.lam}")
-            if not (_in_box(mu, window) and _in_box(nu, window)):
-                raise MismatchError(f"pair {(mu, nu)} lies outside the window")
-            dm, dn = twisted.component_dim(mu), twisted.component_dim(nu)
-            if len(block) != dm or any(len(row) != dn for row in block):
-                raise MismatchError(f"component block at {(mu, nu)} has wrong shape")
-            block = [[tuple(v) for v in row] for row in block]
-            for row in block:
-                for v in row:
-                    if len(v) != vdim:
-                        raise MismatchError("value arity does not match vdim")
-            if mu == nu:
-                for a in range(dm):
-                    for b in range(dn):
-                        lhs = block[a][b]
-                        rhs = tuple(-x for x in block[b][a])
-                        if lhs != rhs:
-                            raise StructureError(
-                                "diagonal component block is not antisymmetric"
-                            )
-            if any(any(any(x for x in v) for v in row) for row in block):
-                clean[(mu, nu)] = block
-        self.comp = clean
+    `vectors[t]` holds the t-th value coordinate as a sparse {unknown: value}
+    dict over `index`, nonzero values only; every other entry follows by
+    antisymmetry or is structurally zero.
+    """
+
+    def __init__(self, index: CochainIndex, vectors):
+        self.index = index
+        self.twisted = index.twisted
+        self.lam = index.lam
+        self.window = index.window
+        self.vectors = list(vectors)
+        self.vdim = len(self.vectors)
 
     # -- evaluation -------------------------------------------------------------
 
     def value(self, mu, nu, a: int, b: int):
-        mu, nu = tuple(mu), tuple(nu)
-        if mu <= nu:
-            block = self.comp.get((mu, nu))
-            if block is None:
-                return self.zero_value
-            return block[a][b]
-        block = self.comp.get((nu, mu))
-        if block is None:
-            return self.zero_value
-        return tuple(-x for x in block[b][a])
+        zero = self.twisted.field.zero
+        res = self.index.unknown(mu, nu, a, b)
+        if res is None:
+            return (zero,) * self.vdim
+        uid, sign = res
+        out = tuple(vec.get(uid, zero) for vec in self.vectors)
+        return out if sign == 1 else tuple(-x for x in out)
 
     def evaluate(self, x, y):
         """Value on two loop elements supported in the window."""
@@ -118,22 +92,17 @@ class WindowedCochain:
 
     def __add__(self, other):
         other = self._check(other)
-        comp = {}
-        for key in set(self.comp) | set(other.comp):
-            mu, nu = key
-            dm = self.twisted.component_dim(mu)
-            dn = self.twisted.component_dim(nu)
-            comp[key] = [
-                [
-                    tuple(
-                        p + q
-                        for p, q in zip(self.value(mu, nu, a, b), other.value(mu, nu, a, b))
-                    )
-                    for b in range(dn)
-                ]
-                for a in range(dm)
-            ]
-        return WindowedCochain(self.twisted, self.lam, self.window, self.vdim, comp)
+        vectors = []
+        for mine, theirs in zip(self.vectors, other.vectors):
+            vec = dict(mine)
+            for uid, x in theirs.items():
+                total = vec[uid] + x if uid in vec else x
+                if total:
+                    vec[uid] = total
+                else:
+                    del vec[uid]
+            vectors.append(vec)
+        return WindowedCochain(self.index, vectors)
 
     def __neg__(self):
         return self * -1
@@ -143,28 +112,21 @@ class WindowedCochain:
 
     def __mul__(self, scalar):
         scalar = self.twisted.field.scalar(scalar)
-        comp = {
-            key: [[tuple(x * scalar for x in v) for v in row] for row in block]
-            for key, block in self.comp.items()
-        }
-        return WindowedCochain(self.twisted, self.lam, self.window, self.vdim, comp)
+        return WindowedCochain(
+            self.index,
+            [{uid: x * scalar for uid, x in vec.items()} if scalar else {} for vec in self.vectors],
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.comp
+        return not any(self.vectors)
 
     def tensor(self, vector):
         """Scalar cochain times a V-vector: requires vdim == 1."""
         if self.vdim != 1:
             raise MismatchError("tensor requires a scalar cochain")
-        field = self.twisted.field
-        vec = [field.scalar(v) for v in vector]
-        comp = {
-            key: [[tuple(v[0] * w for w in vec) for v in row] for row in block]
-            for key, block in self.comp.items()
-        }
-        return WindowedCochain(self.twisted, self.lam, self.window, len(vec), comp)
+        return WindowedCochain(self.index, [(self * w).vectors[0] for w in vector])
 
 
 def _window_triples(basis, lam, window: int):
@@ -202,17 +164,41 @@ def _pair_blocks(twisted, lam, window: int):
 
 
 def cochain_from_function(twisted, lam, window: int, vdim: int, fill) -> WindowedCochain:
-    """Build components from fill(mu, nu, a, b) -> value tuple, for mu <= nu."""
-    lam = tuple(lam)
-    comp = {
-        (mu, nu): [[tuple(fill(mu, nu, a, b)) for b in range(dn)] for a in range(dm)]
-        for mu, nu, dm, dn in _pair_blocks(twisted, lam, window)
-    }
-    return WindowedCochain(twisted, lam, window, vdim, comp)
+    """Build a cochain from fill(mu, nu, a, b) -> value tuple, for mu <= nu.
+
+    On a diagonal block (mu == nu) the values must be antisymmetric in (a, b),
+    which also makes them zero for a == b.
+    """
+    index = CochainIndex(twisted, lam, window)
+    vectors = [{} for _ in range(vdim)]
+
+    def entry(mu, nu, a, b):
+        value = tuple(fill(mu, nu, a, b))
+        if len(value) != vdim:
+            raise MismatchError("value arity does not match vdim")
+        return value
+
+    uid = 0  # CochainIndex numbers the unknowns in the order of this loop
+    for mu, nu in index.blocks:
+        dm, dn = twisted.component_dim(mu), twisted.component_dim(nu)
+        diagonal = mu == nu
+        for a in range(dm):
+            if diagonal and any(entry(mu, nu, a, a)):
+                raise StructureError("diagonal component block is not antisymmetric")
+            for b in range(a + 1 if diagonal else 0, dn):
+                value = entry(mu, nu, a, b)
+                if diagonal and tuple(-x for x in entry(mu, nu, b, a)) != value:
+                    raise StructureError("diagonal component block is not antisymmetric")
+                for t, x in enumerate(value):
+                    if x:
+                        vectors[t][uid] = x
+                uid += 1
+    return WindowedCochain(index, vectors)
 
 
 def canonical_slice(ext: CentralExtension, lam, window: int) -> WindowedCochain | None:
-    """The lam-slice of the canonical central cocycle, in central-slot coordinates.
+    """The lam-slice of the canonical central cocycle, in central-slot coordinates:
+    kappa(x_a, y_b) times the slots of class(s^mu d s^nu).
 
     Returns None when the central space vanishes at lam (degree outside the
     base lattice), where the slice is identically zero.
@@ -223,16 +209,15 @@ def canonical_slice(ext: CentralExtension, lam, window: int) -> WindowedCochain 
         return None
     slots = slot_indices(ring, lam)
     tw = ext.twisted
+    classes = {}  # (mu, nu) -> the slots of class(s^mu d s^nu)
 
     def fill(mu, nu, a, b):
-        x = tw.component_basis(mu)[a]
-        y = tw.component_basis(nu)[b]
-        cls = ext.cocycle(x, y)
-        vec = cls.component(lam)
-        for d in cls.degrees():
-            if d != lam:
-                raise StructureError("canonical cocycle slice leaked outside lam")
-        return tuple(vec[i] for i in slots)
+        cls = classes.get((mu, nu))
+        if cls is None:
+            vec = ext.cocycle_class_of_pair(mu, nu).component(lam)
+            cls = classes[(mu, nu)] = [vec[i] for i in slots]
+        kappa = tw.pair(mu, a, nu, b)[1]
+        return tuple(kappa * c for c in cls)
 
     return cochain_from_function(tw, lam, window, len(slots), fill)
 
@@ -260,7 +245,12 @@ def coboundary(twisted, lam, window: int, tau) -> WindowedCochain:
 
 
 class CochainIndex:
-    """Flat unknown indexing of the antisymmetric pair components in a window."""
+    """Flat unknown indexing of the antisymmetric pair components in a window.
+
+    The unknowns are the entries (mu, nu, a, b) with mu < nu, and with a < b
+    on a diagonal block mu == nu, numbered block by block in `_pair_blocks`
+    order and row by row within a block.
+    """
 
     def __init__(self, twisted, lam, window: int):
         self.twisted = twisted
@@ -278,48 +268,17 @@ class CochainIndex:
     def unknown(self, mu, nu, a: int, b: int):
         """(unknown_id, sign) or None when the entry is structurally zero."""
         mu, nu = tuple(mu), tuple(nu)
-        if mu == nu:
-            base = self.blocks.get((mu, nu))
-            if base is None:
-                return None
-            if a == b:
-                return None
-            dm = self.twisted.component_dim(mu)
-            if a < b:
-                return base + (a * (2 * dm - a - 1)) // 2 + (b - a - 1), 1
-            return self.unknown(mu, nu, b, a)[0], -1
-        if mu < nu:
-            base = self.blocks.get((mu, nu))
-            if base is None:
-                return None
-            dn = self.twisted.component_dim(nu)
-            return base + a * dn + b, 1
-        res = self.unknown(nu, mu, b, a)
-        if res is None:
+        diagonal = mu == nu
+        if (a > b) if diagonal else (mu > nu):
+            res = self.unknown(nu, mu, b, a)
+            return None if res is None else (res[0], -1)
+        base = self.blocks.get((mu, nu))
+        if base is None or (diagonal and a == b):
             return None
-        return res[0], -res[1]
-
-    def vector_of(self, cochain: WindowedCochain, t: int = 0) -> dict:
-        """Sparse unknown-coordinate vector of the t-th scalar coordinate.
-
-        Reads each canonical slot once (strict upper triangle on diagonal
-        blocks); the mirrored entries are determined by antisymmetry.
-        """
-        out = {}
-        for (mu, nu), block in cochain.comp.items():
-            dm = len(block)
-            for a, row in enumerate(block):
-                for b, v in enumerate(row):
-                    if mu == nu and b <= a:
-                        if b == a and v[t]:
-                            raise StructureError(
-                                "cochain has a nonzero structurally-zero entry"
-                            )
-                        continue
-                    if v[t]:
-                        uid, sign = self.unknown(mu, nu, a, b)
-                        out[uid] = v[t] if sign == 1 else -v[t]
-        return {k: v for k, v in out.items() if v}
+        if diagonal:
+            dm = self.twisted.component_dim(mu)
+            return base + (a * (2 * dm - a - 1)) // 2 + (b - a - 1), 1
+        return base + a * self.twisted.component_dim(nu) + b, 1
 
 
 def _constraint_rows(ext: CentralExtension, index: CochainIndex):
@@ -353,7 +312,7 @@ def _constraint_rows(ext: CentralExtension, index: CochainIndex):
     return rows
 
 
-def cocycle_space_report(ext: CentralExtension, lam, window: int, vdim: int = 1) -> dict:
+def cocycle_space_report(ext: CentralExtension, lam, window: int) -> dict:
     """Windowed Z^2 modulo windowed coboundaries at one internal degree.
 
     The reported dimension is an upper bound for the graded quotient of the
@@ -372,8 +331,18 @@ def cocycle_space_report(ext: CentralExtension, lam, window: int, vdim: int = 1)
     for row in rows:
         constraints.add(dict(row))
     z2 = index.size - constraints.rank
-
     boundaries = linalg.SparseEliminator(tw.field)
+
+    def independent(cochain, what) -> int:
+        """Coordinates of a windowed cocycle that enlarge `boundaries`."""
+        added = 0
+        for vec in cochain.vectors:
+            if vec and not constraints.dot_is_zero(vec):
+                raise StructureError(f"{what} violates the windowed constraints")
+            if boundaries.add(dict(vec)):
+                added += 1
+        return added
+
     dim_lam = tw.component_dim(lam)
     field = tw.field
     b2 = 0
@@ -383,39 +352,25 @@ def cocycle_space_report(ext: CentralExtension, lam, window: int, vdim: int = 1)
             [field.one if r == t else field.zero for t in range(dim_lam)]
             for r in range(dim_lam)
         ]
-        db = coboundary(tw, lam, window, identity)
-        for t in range(dim_lam):
-            vec = index.vector_of(db, t)
-            if vec and not constraints.dot_is_zero(vec):
-                raise StructureError("a coboundary violates the windowed constraints")
-            if boundaries.add(dict(vec)):
-                b2 += 1
+        b2 = independent(coboundary(tw, lam, window, identity), "a coboundary")
 
     slice_cochain = canonical_slice(ext, lam, window)
-    lower = 0
-    centre_dim = 0
+    lower = centre_dim = 0
     if slice_cochain is not None:
         centre_dim = slice_cochain.vdim
-        for t in range(slice_cochain.vdim):
-            vec = index.vector_of(slice_cochain, t)
-            if vec and not constraints.dot_is_zero(vec):
-                raise StructureError(
-                    "canonical cocycle slice violates the windowed constraints"
-                )
-            if boundaries.add(dict(vec)):
-                lower += 1
+        lower = independent(slice_cochain, "canonical cocycle slice")
     h2 = z2 - b2
     return {
         "lambda": list(lam),
         "window": window,
-        "vdim": vdim,
-        "unknowns": index.size * vdim,
+        "vdim": 1,
+        "unknowns": index.size,
         "constraints": len(rows),
-        "z2_dim": z2 * vdim,
-        "b2_dim": b2 * vdim,
-        "h2_dim": h2 * vdim,
-        "lower_bound": lower * vdim,
-        "centre_dim": centre_dim * vdim,
+        "z2_dim": z2,
+        "b2_dim": b2,
+        "h2_dim": h2,
+        "lower_bound": lower,
+        "centre_dim": centre_dim,
         "degenerate": degenerate,
         "certified": (not degenerate) and h2 == lower,
     }
@@ -463,16 +418,14 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
     field = tw.field
     dim_lam = tw.component_dim(lam)
     zero_degree = (0,) * tw.ring.n
-    g0 = tw.component_basis(zero_degree)
-    lam_basis = tw.component_basis(lam)
     rows, rhs = [], []
-    for a, x in enumerate(lam_basis):
-        for b, y in enumerate(g0):
+    for a in range(dim_lam):
+        for b in range(tw.component_dim(zero_degree)):
             row = [field.zero] * dim_lam
             for r, c in tw._pair_bracket(lam, a, zero_degree, b):
                 row[r] = c
             rows.append(row)
-            rhs.append(P.evaluate(x, y))
+            rhs.append(P.value(lam, zero_degree, a, b))
     tau = []
     for t in range(P.vdim):
         sol = linalg.solve_system(rows, [v[t] for v in rhs], field)
@@ -495,8 +448,12 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
 def _is_normalized(P: WindowedCochain) -> bool:
     """P vanishes on every (lam-component, fixed-subalgebra) pair."""
     tw = P.twisted
-    g0 = tw.component_basis((0,) * tw.ring.n)
-    return not any(any(P.evaluate(x, y)) for x in tw.component_basis(P.lam) for y in g0)
+    zero_degree = (0,) * tw.ring.n
+    return not any(
+        any(P.value(P.lam, zero_degree, a, b))
+        for a in range(tw.component_dim(P.lam))
+        for b in range(tw.component_dim(zero_degree))
+    )
 
 
 class CentralClassMap:
@@ -538,12 +495,9 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
     ring = ext.ring
     lam = P.lam
     field = tw.field
-    g0_vecs = tw.g0_basis()
-    d0 = len(g0_vecs)
-    kill = [
-        [ext.algebra.killing(g0_vecs[a], g0_vecs[b]) for b in range(d0)]
-        for a in range(d0)
-    ]
+    zero_degree = (0,) * ring.n
+    d0 = tw.component_dim(zero_degree)
+    kill = [[tw.pair(zero_degree, a, zero_degree, b)[1] for b in range(d0)] for a in range(d0)]
     if not _is_normalized(P):
         raise StructureError("cochain is not normalized; run invariantize first")
     slots = slot_indices(ring, lam) if ring.in_base_lattice(lam) else []
@@ -559,22 +513,15 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
     ]
     if not pairs:
         raise StructureError("no base-lattice monomial pairs in the window at this degree")
+    pivot = next(((a, b) for a in range(d0) for b in range(d0) if kill[a][b]), None)
+    if pivot is None:
+        raise StructureError("Killing block on the fixed subalgebra vanishes")
 
     z_values = {}
     for mu, nu in pairs:
         # base-lattice degrees have residue 0: their basis is g0 tensor s^degree
-        xmu, ynu = tw.component_basis(mu), tw.component_basis(nu)
-        values = [[P.evaluate(xmu[a], ynu[b]) for b in range(d0)] for a in range(d0)]
-        z = None
-        for a in range(d0):
-            for b in range(d0):
-                if kill[a][b]:
-                    z = tuple(x / kill[a][b] for x in values[a][b])
-                    break
-            if z is not None:
-                break
-        if z is None:
-            raise StructureError("Killing block on the fixed subalgebra vanishes")
+        values = [[P.value(mu, nu, a, b) for b in range(d0)] for a in range(d0)]
+        z = tuple(x / kill[pivot[0]][pivot[1]] for x in values[pivot[0]][pivot[1]])
         for a in range(d0):
             for b in range(d0):
                 expect = tuple(kill[a][b] * x for x in z)
@@ -587,7 +534,7 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
 
     # relations of the reduction map on the available pairs
     for (mu, nu), z in z_values.items():
-        if nu == (0,) * ring.n and any(z):
+        if nu == zero_degree and any(z):
             raise StructureError("z_{a,1} != 0 for a normalized cochain")
         rev = z_values.get((nu, mu))
         if rev is not None and tuple(-x for x in rev) != z:

@@ -26,6 +26,8 @@ from .kaehler import (
 )
 from .laurent import GaloisElement, box_degrees
 
+_CENTRE_MAX_ENLARGE = 2
+
 
 class ExtendedElement:
     """loop part in g tensor S plus central part in Omega_S/dS."""
@@ -331,15 +333,14 @@ class CentralExtension:
             "failures": failures,
         }
 
-    def centre_window(
-        self, window: int, generator_window: int | None = None, max_enlarge: int = 2
-    ) -> dict:
+    def centre_window(self, window: int, generator_window: int | None = None) -> dict:
         """Certified centre of the extension restricted to the window.
 
         The base-lattice classes are central by construction, so per degree it
         suffices to show that no loop direction is killed by every bracket
         against the generator window.  A nonzero kernel triggers a retry with
-        a larger generator window before being reported.
+        a generator window up to _CENTRE_MAX_ENLARGE larger before being
+        reported.
         """
         if generator_window is None:
             generator_window = window
@@ -352,7 +353,7 @@ class CentralExtension:
             gen_d = generator_window
             while True:
                 kernel = self._loop_kernel_dim(degree, gen_d)
-                if kernel == 0 or gen_d >= generator_window + max_enlarge:
+                if kernel == 0 or gen_d >= generator_window + _CENTRE_MAX_ENLARGE:
                     break
                 gen_d += 1
             per_degree[degree] = {

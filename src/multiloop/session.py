@@ -22,8 +22,9 @@ VALID_FAMILIES = "ABCDEFG"
 
 
 def _integer(value) -> int:
-    # JSON true/false would otherwise pass int() as 1/0, and int() truncates 2.7
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # JSON true/false would otherwise pass int() as 1/0, int() truncates 2.7,
+    # and int() parses the string "2"
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -64,8 +65,8 @@ class SessionSpec:
         return spec
 
     def validate(self):
-        if self.family not in VALID_FAMILIES:
-            raise SpecError(f"unknown family {self.family!r}")
+        if len(self.family) != 1 or self.family not in VALID_FAMILIES:
+            raise SpecError(f"unknown family {self.family!r}: expected one letter A-G")
         if self.rank < 1:
             raise SpecError(f"rank must be positive, got {self.rank}")
         if len(self.autos) != len(self.orders):

@@ -5,7 +5,6 @@ import pytest
 from multiloop import linalg
 from multiloop.cohomology import (
     CochainIndex,
-    WindowedCochain,
     _constraint_rows,
     _in_box,
     _window_triples,
@@ -69,18 +68,18 @@ def test_canonical_slice_is_cocycle(a1_n1, a2_twisted):
 def test_cochain_antisymmetry_enforced(a1_n1):
     tw = a1_n1.twisted
     field = tw.field
-    dim0 = tw.component_dim((0,))
-    block = [[(field.one,)] * dim0 for _ in range(dim0)]  # symmetric, not antisymmetric
-    with pytest.raises(StructureError):
-        WindowedCochain(tw, (0,), 1, 1, {((0,), (0,)): block})
 
+    def symmetric(mu, nu, a, b):  # every entry 1: not antisymmetric on (0, 0)
+        return (field.one,)
 
-def test_cochain_shape_guards(a1_n1):
-    tw = a1_n1.twisted
+    def zero_diagonal_symmetric(mu, nu, a, b):  # passes a == b, fails the mirror
+        return (field.zero if a == b else field.one,)
+
+    for fill in (symmetric, zero_diagonal_symmetric):
+        with pytest.raises(StructureError):
+            cochain_from_function(tw, (0,), 1, 1, fill)
     with pytest.raises(MismatchError):
-        WindowedCochain(tw, (0,), 1, 1, {((1,), (0,)): []})  # mu > nu
-    with pytest.raises(MismatchError):
-        WindowedCochain(tw, (0,), 1, 1, {((-1,), (0,)): [[]]})  # wrong degree sum
+        cochain_from_function(tw, (0,), 1, 2, lambda mu, nu, a, b: (field.zero,))
 
 
 def test_coboundaries_are_cocycles(a1_n1):
@@ -88,6 +87,7 @@ def test_coboundaries_are_cocycles(a1_n1):
     rng = random.Random(3)
     db = coboundary(tw, (0,), 2, random_tau(tw, (0,), 1, rng))
     assert is_windowed_cocycle(a1_n1.ext, db)
+    assert not db.is_zero() and (db - db).is_zero() and (db * 0).is_zero()
 
 
 def test_invariantize_canonical_slice_is_fixed(a1_n1):
@@ -133,7 +133,11 @@ def test_extract_requires_normalization(a1_n1):
 
 def test_extract_zero_cochain(a1_n1):
     ext = a1_n1.ext
-    phi = extract_class_map(ext, WindowedCochain(a1_n1.twisted, (0,), 2, 1, {}))
+    zero = cochain_from_function(
+        a1_n1.twisted, (0,), 2, 1, lambda mu, nu, a, b: (ext.field.zero,)
+    )
+    assert zero.is_zero()
+    phi = extract_class_map(ext, zero)
     assert phi.on_basis() == [(ext.field.zero,)]
     z = class_basis_at(ext.ring, (0,))[0]
     assert phi.apply(z) == (ext.field.zero,)
@@ -337,7 +341,7 @@ def unit_tau_coboundaries(tw, index):
     out = []
     for t in range(dim_lam):
         tau = [(field.one,) if r == t else (field.zero,) for r in range(dim_lam)]
-        out.append(index.vector_of(coboundary(tw, index.lam, index.window, tau)))
+        out.append(coboundary(tw, index.lam, index.window, tau).vectors[0])
     return out
 
 

@@ -60,6 +60,20 @@ def test_spec_round_trip():
         ],
         {"algebra": {"family": "A", "rank": True}, "autos": [{"kind": "identity"}], "orders": [1]},
         {"algebra": {"family": "A", "rank": 1}, "autos": [{"kind": "identity"}], "orders": [True]},
+        # a substring of "ABCDEFG" is not a family
+        *[
+            {"algebra": {"family": f, "rank": 1}, "autos": [{"kind": "identity"}], "orders": [1]}
+            for f in ("", "AB", "ABC")
+        ],
+        # a JSON string is not an integer, even when it spells one
+        {
+            "algebra": {"family": "A", "rank": 1},
+            "autos": [{"kind": "identity"}],
+            "orders": [1],
+            "window": "2",
+        },
+        {"algebra": {"family": "A", "rank": "1"}, "autos": [{"kind": "identity"}], "orders": [1]},
+        {"algebra": {"family": "A", "rank": 1}, "autos": [{"kind": "identity"}], "orders": ["1"]},
     ],
 )
 def test_invalid_specs(data):
