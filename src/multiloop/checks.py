@@ -25,14 +25,37 @@ CHECK_NAMES = (
 )
 
 
+# conductor -> (field, rows): rows[k + 9][d - 1] is the scalar k/d of that field
+_COEFFICIENTS = {}
+
+
+def _coefficient_rows(field) -> tuple:
+    """The 171 shared scalars k/d (-9 <= k <= 9, 1 <= d <= 9), built once per field."""
+    cached = _COEFFICIENTS.get(field.conductor)
+    if cached is None or cached[0] is not field:
+        rows = tuple(
+            tuple(field.scalar(k) / d for d in range(1, 10)) for k in range(-9, 10)
+        )
+        cached = _COEFFICIENTS[field.conductor] = (field, rows)
+    return cached[1]
+
+
 def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span: int = 3) -> LaurentPoly:
     field = ring.field
+    rows = _coefficient_rows(field)
+    exponents = range(-span, span + 1)
+    variables = range(ring.n)
+    twist = field.degree > 1
+    choice = rng.choice
     terms = {}
-    # randrange(a, b + 1) is randint(a, b), one call frame less
+    # randrange(a, b + 1) is randint(a, b), one call frame less; choice(seq)
+    # draws seq[randrange(len(seq))], so the stream is randrange(-span,
+    # span + 1) per exponent, then randrange(-9, 10) for k and
+    # randrange(1, 10) for d, as `tests/golden/zrel_draws.json` pins it
     for _ in range(rng.randrange(1, max_terms + 1)):
-        exp = tuple([rng.randrange(-span, span + 1) for _ in range(ring.n)])
-        coeff = field.scalar(rng.randrange(-9, 10)) / rng.randrange(1, 10)
-        if field.degree > 1 and rng.random() < 0.3:
+        exp = tuple([choice(exponents) for _ in variables])
+        coeff = choice(choice(rows))
+        if twist and rng.random() < 0.3:
             coeff = field.zeta(rng.randrange(field.conductor)) * coeff
         # as `from_terms`: a repeated exponent adds up, and a zero sum drops it
         if exp in terms:

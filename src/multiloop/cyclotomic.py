@@ -76,6 +76,7 @@ class CyclotomicField:
         self._tail = (0,) * (d - 1)
         self.zero = CyclotomicNumber(self, (0,) * d, 1)
         self.one = CyclotomicNumber(self, (1,) + self._tail, 1)
+        self._zeta_powers = None
 
     def _shift_reduce(self, coeffs):
         # multiply by x, reduce the overflowing top coefficient
@@ -122,11 +123,14 @@ class CyclotomicField:
         return CyclotomicNumber(self, num, den)
 
     def zeta(self, power: int = 1) -> "CyclotomicNumber":
-        """zeta_M^power in canonical form."""
-        cur = list(self.one.num)
-        for _ in range(power % self.conductor):
-            cur = self._shift_reduce(cur)
-        return CyclotomicNumber(self, tuple(cur), 1)
+        """zeta_M^power in canonical form; the M powers are built on first use."""
+        if self._zeta_powers is None:
+            cur, powers = list(self.one.num), []
+            for _ in range(self.conductor):
+                powers.append(CyclotomicNumber(self, tuple(cur), 1))
+                cur = self._shift_reduce(cur)
+            self._zeta_powers = tuple(powers)
+        return self._zeta_powers[power % self.conductor]
 
     def root_of_unity(self, order: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_order^power, embedded via zeta_order = zeta_M^(M/order)."""

@@ -165,15 +165,32 @@ class DifferentialForm(_Graded):
         """p * sum_i f_i ds_i: the term c s^e moves degree alpha to alpha + e."""
         if p.ring is not self.ring and p.ring != self.ring:
             raise MismatchError("Laurent polynomial from a different ring")
+        if len(p.terms) == 1:
+            ((e, c),) = p.terms.items()
+            if not any(e) and c == self.ring.field.one:
+                return self
+            # one term shifts distinct degrees to distinct degrees, and a
+            # product of nonzero field elements is nonzero: nothing cancels
+            return DifferentialForm._graded(
+                self.ring,
+                {
+                    tuple(map(add, e, degree)): tuple([x * c if x else x for x in vec])
+                    for degree, vec in self.pieces.items()
+                },
+            )
         out = {}
         for e, c in p.terms.items():
-            # one term shifts distinct degrees to distinct degrees, and a
-            # product of nonzero field elements is nonzero: only sums cancel
-            shifted = {
-                tuple(map(add, e, degree)): tuple([x * c if x else x for x in vec])
-                for degree, vec in self.pieces.items()
-            }
-            out = _add_pieces(out, shifted) if out else shifted
+            for degree, vec in self.pieces.items():
+                shifted = tuple(map(add, e, degree))
+                cur = out.get(shifted)
+                if cur is None:
+                    out[shifted] = tuple([x * c if x else x for x in vec])
+                else:
+                    total = tuple([t + x * c if x else t for t, x in zip(cur, vec)])
+                    if any(total):
+                        out[shifted] = total
+                    else:
+                        del out[shifted]
         return DifferentialForm._graded(self.ring, out)
 
     def __str__(self):
@@ -190,7 +207,7 @@ def differential(p: LaurentPoly) -> DifferentialForm:
     return DifferentialForm._graded(
         p.ring,
         {
-            alpha: tuple(c * a if a else zero for a in alpha)
+            alpha: tuple([c * a if a else zero for a in alpha])
             for alpha, c in p.terms.items()
             if any(alpha)
         },
@@ -212,18 +229,22 @@ def slot_indices(ring: LaurentRing, degree):
 
 
 def _reduce_vector(ring, degree, vec):
-    out = list(vec)
+    """vec with the pivot slot eliminated along the relation vector degree;
+    vec itself, not a copy, when the pivot slot is already zero."""
     p = pivot_index(degree)
-    if p is not None and out[p]:
-        # subtract (out[p] / degree[p]) * degree; the pivot slot becomes zero
-        factor = None
-        for i in range(p + 1, ring.n):
-            a = degree[i]
-            if a:
-                if factor is None:
-                    factor = out[p] / degree[p]
-                out[i] = out[i] - factor * a
-        out[p] = ring.field.zero
+    if p is None or not vec[p]:
+        return vec
+    # subtract (c / d) * degree with c = vec[p], d = degree[p]; the pivot
+    # slot becomes zero, and slot i loses c * (a / d), an int multiple of c
+    # when d divides a
+    out = list(vec)
+    c, d = vec[p], degree[p]
+    for i in range(p + 1, ring.n):
+        a = degree[i]
+        if a:
+            q, r = divmod(a, d)
+            out[i] = vec[i] - (c * a / d if r else c * q)
+    out[p] = ring.field.zero
     return out
 
 
@@ -236,7 +257,7 @@ class CentralClass(_Graded):
         self.ring = ring
         pieces = {}
         for degree, vec in raw.items():
-            out = list(vec) if reduced else _reduce_vector(ring, degree, vec)
+            out = vec if reduced else _reduce_vector(ring, degree, vec)
             if any(out):
                 pieces[tuple(degree)] = tuple(out)
         self.pieces = pieces

@@ -229,6 +229,10 @@ class LaurentPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if len(self.terms) == 1 == len(other.terms):
+            ((e1, c1),) = self.terms.items()
+            ((e2, c2),) = other.terms.items()
+            return LaurentPoly._nonzero(self.ring, {tuple(map(add, e1, e2)): c1 * c2})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

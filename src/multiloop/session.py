@@ -20,6 +20,11 @@ from .liealg import (
 
 VALID_FAMILIES = "ABCDEFG"
 
+# the largest conductor lcm(orders) a spec may declare: set-up works in
+# Q(zeta_M) of degree phi(M) and splits g into M eigenspaces, so its cost
+# grows quickly with M, and a conductor in the thousands never finishes
+MAX_CONDUCTOR = 60
+
 
 def _integer(value) -> int:
     # JSON true/false would otherwise pass int() as 1/0, int() truncates 2.7,
@@ -77,6 +82,12 @@ class SessionSpec:
             raise SpecError("at least one loop variable is required")
         if any(m < 1 for m in self.orders):
             raise SpecError(f"orders must be positive, got {self.orders}")
+        conductor = lcm(*self.orders)
+        if conductor > MAX_CONDUCTOR:
+            raise SpecError(
+                f"conductor {conductor} = lcm of orders {list(self.orders)} is over "
+                f"the limit MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+            )
         if self.window < 1:
             raise SpecError(f"window must be >= 1, got {self.window}")
         if self.margin < 0:

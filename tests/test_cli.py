@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,26 @@ def test_malformed_json_spec(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "info", "--spec", str(bad))
     assert code == 2
+
+
+def test_conductor_over_the_limit_exits_2(tmp_path, capsys):
+    from multiloop.session import MAX_CONDUCTOR
+
+    bad = tmp_path / "big.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "algebra": {"family": "A", "rank": 1},
+                "autos": [{"kind": "identity"}],
+                "orders": [4099],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "zrel", "--spec", str(bad))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err and "Traceback" not in err
 
 
 def test_non_commuting_autos_exit_2(tmp_path, capsys):

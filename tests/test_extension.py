@@ -424,7 +424,7 @@ def test_unreduced_pivot_gives_the_reference_failures(monkeypatch):
     reduce = kaehler._reduce_vector
 
     def keep_pivot(ring, degree, vec):
-        out = reduce(ring, degree, vec)
+        out = list(reduce(ring, degree, vec))
         p = kaehler.pivot_index(degree)
         if p is not None:
             out[p] = vec[p]

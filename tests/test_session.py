@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from multiloop.cyclotomic import CyclotomicField
 from multiloop.errors import SpecError
 from multiloop.liealg import build_algebra, diagram_automorphism
 from multiloop.rootsystem import root_system
-from multiloop.session import Session, SessionSpec, load_spec
+from multiloop.session import MAX_CONDUCTOR, Session, SessionSpec, load_spec
 
 from tests.conftest import make_session
 
@@ -159,6 +160,21 @@ def test_info_payload(a2_twisted):
     assert info["g0_central_simple"] is True
     assert info["omega_r_dims"] == {"-2": 0, "0": 1, "2": 0}
     assert info["conductor"] == 2
+
+
+@pytest.mark.parametrize("orders", [[4099], [7, 11, 13]])
+def test_conductor_over_the_limit_is_refused(orders):
+    # refused in validate, before any field is built: Q(zeta_4099) never
+    # finishes its set-up, so the check is never run without the limit
+    data = {
+        "algebra": {"family": "A", "rank": 1},
+        "autos": [{"kind": "identity"}] * len(orders),
+        "orders": orders,
+    }
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match=f"MAX_CONDUCTOR = {MAX_CONDUCTOR}"):
+        SessionSpec.from_dict(data)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_conductor_is_lcm_of_orders():

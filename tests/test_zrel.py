@@ -1,4 +1,5 @@
-"""The `zrel` suite: its seeded draw stream, and that it still sees a defect.
+"""The `zrel` suite: its seeded draw stream, the library calls each draw
+makes, and that it still sees a defect.
 
 `zrel` reports only `count`, `seed` and its failures, so a snapshot of its
 report cannot tell a changed random stream from the old one.
@@ -8,17 +9,23 @@ stream on every shipped spec.
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from multiloop import kaehler
+from multiloop import checks, kaehler
 from multiloop.checks import check_zrel, random_poly
+from multiloop.kaehler import DifferentialForm
+from multiloop.laurent import LaurentPoly
 from multiloop.session import Session, load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 DRAWS = Path(__file__).resolve().parent / "golden" / "zrel_draws.json"
 SPECS = ("a1_untwisted_n1", "a1_untwisted_n2", "a2_twisted", "d4_triality")
+SHIPPED = sorted(p.stem for p in (ROOT / "specs").glob("*.json"))
+# one variable over Q, two variables over Q, one variable over Q(zeta3)
+MUTATION_SPECS = ("a1_untwisted_n1", "a1_untwisted_n2", "d4_triality")
 ZREL_COUNT = 1000  # check_zrel's default count, as `check zrel` runs it
 PINNED = 20
 
@@ -42,6 +49,34 @@ def test_zrel_draw_stream_is_pinned(spec):
     assert zrel_draws(session) == json.loads(DRAWS.read_text())[spec]
 
 
+# calls per (first-loop draw, second-loop draw) pair: d of p, a, b and c;
+# reduce of dp and of the six products; a da, b da, a db, ab dc, bc da, ca db;
+# ab, bc and ca
+CALLS_PER_DRAW = {"differential": 4, "reduce_form": 7, "scale_poly": 6, "mul": 3}
+
+
+@pytest.mark.parametrize("spec", SHIPPED)
+def test_zrel_makes_the_same_library_calls_per_draw(spec, monkeypatch):
+    session = load_session(spec)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "differential", counted("differential", checks.differential))
+    monkeypatch.setattr(checks, "reduce_form", counted("reduce_form", checks.reduce_form))
+    monkeypatch.setattr(
+        DifferentialForm, "scale_poly", counted("scale_poly", DifferentialForm.scale_poly)
+    )
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted("mul", LaurentPoly.__mul__))
+    assert check_zrel(session, count=50)["passed"]
+    assert calls == {name: 50 * n for name, n in CALLS_PER_DRAW.items()}
+
+
 def _kinds(report):
     return {f["kind"] for f in report["failures"]}
 
@@ -52,7 +87,7 @@ def _keep_pivot(monkeypatch):
     reduce = kaehler._reduce_vector
 
     def keep_pivot(ring, degree, vec):
-        out = reduce(ring, degree, vec)
+        out = list(reduce(ring, degree, vec))
         p = kaehler.pivot_index(degree)
         if p is not None:
             out[p] = vec[p]
@@ -62,29 +97,29 @@ def _keep_pivot(monkeypatch):
 
 
 def test_zrel_catches_an_unreduced_pivot(monkeypatch):
-    session = load_session("a1_untwisted_n2")
-    assert check_zrel(session, count=50)["passed"]
+    sessions = {spec: load_session(spec) for spec in MUTATION_SPECS}
+    for spec, session in sessions.items():
+        assert check_zrel(session, count=50)["passed"], spec
     _keep_pivot(monkeypatch)
-    report = check_zrel(session, count=50)
-    assert not report["passed"]
-    assert "reduce-d" in _kinds(report)
+    for spec, session in sessions.items():
+        report = check_zrel(session, count=50)
+        assert not report["passed"], spec
+        assert "reduce-d" in _kinds(report), spec
 
 
 def test_zrel_a1_reduces_one_times_da(monkeypatch):
     # class(1 da) = 0 is the z-a1 identity; an unreduced pivot leaves 1 da
     # nonzero whenever da has a pivot entry
-    session = load_session("a1_untwisted_n2")
+    sessions = {spec: load_session(spec) for spec in MUTATION_SPECS}
     _keep_pivot(monkeypatch)
-    report = check_zrel(session, count=50)
-    assert "z-a1" in _kinds(report)
+    for spec, session in sessions.items():
+        assert "z-a1" in _kinds(check_zrel(session, count=50)), spec
 
 
 def test_zrel_catches_a_differential_without_the_exponent_factor(monkeypatch):
-    session = load_session("a1_untwisted_n2")
-    ring = session.ring
-
     def no_factor(p):
         # d(s^alpha) read as sum_i s^(alpha - e_i) ds_i: the alpha_i factor is dropped
+        ring = p.ring
         comps = [{} for _ in range(ring.n)]
         for alpha, c in p.terms.items():
             for i, a in enumerate(alpha):
@@ -95,7 +130,29 @@ def test_zrel_catches_a_differential_without_the_exponent_factor(monkeypatch):
             ring, tuple(ring.from_terms(t.items()) for t in comps)
         )
 
+    sessions = {spec: load_session(spec) for spec in MUTATION_SPECS}
     monkeypatch.setattr("multiloop.checks.differential", no_factor)
-    report = check_zrel(session, count=50)
-    assert not report["passed"]
-    assert "reduce-d" in _kinds(report)
+    for spec, session in sessions.items():
+        report = check_zrel(session, count=50)
+        assert not report["passed"], spec
+        # with one variable every form of nonzero degree reduces to 0, so the
+        # dropped factor shows only in the degree-0 classes of a db
+        expected = "reduce-d" if session.ring.n > 1 else "z-antisym"
+        assert expected in _kinds(report), spec
+
+
+def test_zrel_catches_a_product_that_keeps_one_term(monkeypatch):
+    scale_poly = DifferentialForm.scale_poly
+
+    def first_term_only(form, p):
+        if len(p.terms) > 1:
+            e, c = next(iter(p.terms.items()))
+            p = LaurentPoly._nonzero(p.ring, {e: c})
+        return scale_poly(form, p)
+
+    sessions = {spec: load_session(spec) for spec in MUTATION_SPECS}
+    monkeypatch.setattr(DifferentialForm, "scale_poly", first_term_only)
+    for spec, session in sessions.items():
+        report = check_zrel(session, count=50)
+        assert not report["passed"], spec
+        assert "z-cyclic" in _kinds(report), spec
