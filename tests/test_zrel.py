@@ -50,7 +50,7 @@ def test_zrel_draw_stream_is_pinned(spec):
 
 
 # calls per (first-loop draw, second-loop draw) pair: d of p, a, b and c;
-# reduce of dp and of the six products; a da, b da, a db, ab dc, bc da, ca db;
+# reduce of dp and of the six products; 1 da, a db, b da, ab dc, bc da, ca db;
 # ab, bc and ca
 CALLS_PER_DRAW = {"differential": 4, "reduce_form": 7, "scale_poly": 6, "mul": 3}
 
