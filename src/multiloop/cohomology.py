@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import MismatchError, StructureError
 from .extension import CentralExtension
-from .kaehler import slot_indices
+from .kaehler import central_slots, slot_indices
 from .laurent import box_degrees
 from .liealg import _subalgebra_killing
 
@@ -152,17 +152,6 @@ def _window_triples(basis, lam, window: int):
                         yield i, j, k
 
 
-def _pair_blocks(twisted, lam, window: int):
-    """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam."""
-    for mu in box_degrees(twisted.ring.n, window):
-        nu = tuple(l - m for l, m in zip(lam, mu))
-        if mu > nu or not _in_box(nu, window):
-            continue
-        dm, dn = twisted.component_dim(mu), twisted.component_dim(nu)
-        if dm and dn:
-            yield mu, nu, dm, dn
-
-
 def cochain_from_function(twisted, lam, window: int, vdim: int, fill) -> WindowedCochain:
     """Build a cochain from fill(mu, nu, a, b) -> value tuple, for mu <= nu.
 
@@ -248,8 +237,8 @@ class CochainIndex:
     """Flat unknown indexing of the antisymmetric pair components in a window.
 
     The unknowns are the entries (mu, nu, a, b) with mu < nu, and with a < b
-    on a diagonal block mu == nu, numbered block by block in `_pair_blocks`
-    order and row by row within a block.
+    on a diagonal block mu == nu, numbered block by block in the order of
+    `TwistedLoopAlgebra.pair_blocks` and row by row within a block.
     """
 
     def __init__(self, twisted, lam, window: int):
@@ -258,7 +247,7 @@ class CochainIndex:
         self.window = window
         self.blocks = {}
         self.size = 0
-        for mu, nu, dm, dn in _pair_blocks(twisted, self.lam, window):
+        for mu, nu, dm, dn in twisted.pair_blocks(self.lam, window):
             self.blocks[(mu, nu)] = self.size
             if mu == nu:
                 self.size += dm * (dm - 1) // 2
@@ -500,7 +489,7 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
     kill = [[tw.pair(zero_degree, a, zero_degree, b)[1] for b in range(d0)] for a in range(d0)]
     if not _is_normalized(P):
         raise StructureError("cochain is not normalized; run invariantize first")
-    slots = slot_indices(ring, lam) if ring.in_base_lattice(lam) else []
+    slots = central_slots(ring, lam)
     if not slots:
         return CentralClassMap(ext, lam, [], [], P.vdim)
 

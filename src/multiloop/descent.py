@@ -315,13 +315,20 @@ class TwistedLoopAlgebra:
 
     # -- window bookkeeping -----------------------------------------------------
 
-    def window_degrees(self, window: int):
-        return box_degrees(self.ring.n, window)
+    def pair_blocks(self, lam, window: int):
+        """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam."""
+        for mu in box_degrees(self.ring.n, window):
+            nu = tuple(l - m for l, m in zip(lam, mu))
+            if mu > nu or not all(abs(a) <= window for a in nu):
+                continue
+            dm, dn = self.component_dim(mu), self.component_dim(nu)
+            if dm and dn:
+                yield mu, nu, dm, dn
 
     def window_basis(self, window: int):
         """Flat list of (degree, position, LoopElement) over the degree box."""
         out = []
-        for degree in self.window_degrees(window):
+        for degree in box_degrees(self.ring.n, window):
             for pos, el in enumerate(self.component_basis(degree)):
                 out.append((degree, pos, el))
         return out

@@ -19,7 +19,7 @@ from .descent import LoopElement, TwistedLoopAlgebra
 from .errors import MismatchError, StructureError
 from .kaehler import (
     CentralClass,
-    _invariant_classes_at,
+    central_slots,
     invariant_class_basis,
     invariant_matches_base_image_at,
     slot_indices,
@@ -349,7 +349,7 @@ class CentralExtension:
         per_degree = {}
         passed = True
         for degree in box_degrees(self.ring.n, window):
-            expected = len(_invariant_classes_at(self.ring, degree))
+            expected = len(central_slots(self.ring, degree))
             gen_d = generator_window
             while True:
                 kernel = self._loop_kernel_dim(degree, gen_d)
@@ -374,13 +374,13 @@ class CentralExtension:
 
     def _pair_coords(self, mu, a: int, nu, b: int):
         """Coordinates of [x_a (x) s^mu, y_b (x) s^nu] in the extension at mu + nu:
-        the component coordinates, then the class slots when mu + nu is in the
-        base lattice."""
+        the component coordinates, then the `central_slots` of the class."""
         degree = tuple(p + q for p, q in zip(mu, nu))
         out, cls = self._pair_sum((mu, a, nu, b))
-        if self.ring.in_base_lattice(degree):
+        slots = central_slots(self.ring, degree)
+        if slots:
             vec = cls.component(degree)
-            out.extend(vec[i] for i in slot_indices(self.ring, degree))
+            out.extend(vec[i] for i in slots)
         elif not cls.is_zero():
             raise StructureError(f"central degree {degree} is not base-invariant")
         return out
@@ -392,12 +392,11 @@ class CentralExtension:
         if not dim:
             return 0
         gens = self.twisted.window_basis(generator_window)
-        columns = [
+        images = [
             [x for gdeg, gpos, _ in gens for x in self._pair_coords(degree, a, gdeg, gpos)]
             for a in range(dim)
         ]
-        rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-        return len(linalg.nullspace(rows, dim, self.field))
+        return dim - linalg.SpanSolver(self.field, images).dim
 
     def perfectness(self, window: int, margin: int = 1) -> dict:
         """Every window basis vector of the extension as a bracket combination.
@@ -415,20 +414,14 @@ class CentralExtension:
         for degree in box_degrees(self.ring.n, window):
             # the loop basis, then the class basis: target t is the t-th unit vector
             targets = [("loop", pos) for pos in range(tw.component_dim(degree))]
-            targets += [
-                ("central", pos) for pos in range(len(_invariant_classes_at(self.ring, degree)))
-            ]
+            targets += [("central", pos) for pos in range(len(central_slots(self.ring, degree)))]
             if not targets:
                 continue
             # pairs (a, b) with a before b in window_basis(big), [a, b] of this degree
             pairs = []
             vectors = []
-            for adeg in tw.window_degrees(big):
-                bdeg = tuple(d - a for d, a in zip(degree, adeg))
-                if bdeg < adeg or any(abs(b) > big for b in bdeg):
-                    continue
-                bdim = tw.component_dim(bdeg)
-                for apos in range(tw.component_dim(adeg)):
+            for adeg, bdeg, adim, bdim in tw.pair_blocks(degree, big):
+                for apos in range(adim):
                     for bpos in range(apos if bdeg == adeg else 0, bdim):
                         vec = self._pair_coords(adeg, apos, bdeg, bpos)
                         if not any(vec):
@@ -473,18 +466,16 @@ class CentralExtension:
         coordinates, once per (g, residue, position) (`_lift_coords`); (d)
         reuses them to compare the two sides of a loop pair in component
         coordinates, once per (g, residue, position, residue, position)
-        (`_equivariance_sides`).  A pair with a central vector, or with a
-        vector whose image has no coordinates, is compared as extension
-        elements.
+        (`_equivariance_sides`), or as extension elements when a side has no
+        such coordinates.  The extension bracket reads loop parts only, so a
+        pair with a central vector brackets to 0 on both sides and is skipped.
         """
         failures = []
         tw = self.twisted
         elems = self.group.elements()
-        loop_basis = [
-            (degree, tw.residue(degree), pos) for degree, pos, _ in tw.window_basis(window)
-        ]
+        loop_basis = [(d, tw.residue(d), pos, el) for d, pos, el in tw.window_basis(window)]
         for g in elems:
-            for degree, res, pos in loop_basis:
+            for degree, res, pos, _ in loop_basis:
                 if self._lift_coords(g, res, pos) is None:
                     failures.append(
                         {
@@ -500,7 +491,7 @@ class CentralExtension:
             comp = tw.component_gbasis(degree)
             span = linalg.SpanSolver(self.field, comp)
             same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
-            central_expected = len(_invariant_classes_at(self.ring, degree))
+            central_expected = len(central_slots(self.ring, degree))
             central_fixed = self._fixed_central_dim(degree)
             dim_checks[str(list(degree))] = {
                 "loop_fixed": len(fixed),
@@ -513,29 +504,25 @@ class CentralExtension:
             if self.ring.in_base_lattice(degree):
                 if not invariant_matches_base_image_at(self.ring, degree):
                     failures.append({"kind": "base-image", "degree": list(degree)})
-        basis = self.extended_window_basis(window)
-        nl = len(loop_basis)
         for g in elems:
             if not any(g.components):
                 continue  # the identity action preserves everything trivially
             verdicts = {}
-            for i, X in enumerate(basis):
-                for j in range(i + 1, len(basis)):
-                    broken = None
-                    if j < nl:
-                        (mu, rmu, a), (nu, rnu, b) = loop_basis[i], loop_basis[j]
-                        key = (rmu, a, rnu, b)
-                        if key not in verdicts:
-                            verdicts[key] = self._equivariance_sides(g, key)
-                        verdict = verdicts[key]
-                        if verdict is not None:
-                            loop_equal, kappa_equal = verdict
-                            broken = not loop_equal or (
-                                not kappa_equal
-                                and not self.cocycle_class_of_pair(mu, nu).is_zero()
-                            )
-                    if broken is None:
-                        Y = basis[j]
+            for i, (mu, rmu, a, x) in enumerate(loop_basis):
+                for j in range(i + 1, len(loop_basis)):
+                    nu, rnu, b, y = loop_basis[j]
+                    key = (rmu, a, rnu, b)
+                    if key not in verdicts:
+                        verdicts[key] = self._equivariance_sides(g, key)
+                    verdict = verdicts[key]
+                    if verdict is not None:
+                        loop_equal, kappa_equal = verdict
+                        broken = not loop_equal or (
+                            not kappa_equal
+                            and not self.cocycle_class_of_pair(mu, nu).is_zero()
+                        )
+                    else:
+                        X, Y = self.from_loop(x), self.from_loop(y)
                         lhs = self.lifted_action(g, self.bracket(X, Y))
                         rhs = self.bracket(self.lifted_action(g, X), self.lifted_action(g, Y))
                         broken = lhs != rhs
@@ -618,7 +605,7 @@ class CentralExtension:
         classes = invariant_class_basis(self.ring, window)
         for g in self.group.elements():
             for i, c in enumerate(classes):
-                if self.lifted_action(g, self.from_central(c)) != self.from_central(c):
+                if c.galois(g) != c:
                     failures.append({"g": list(g.components), "class": i})
         return {
             "passed": not failures,
@@ -634,24 +621,23 @@ class CentralExtension:
         base-lattice class: s^(a+b) must lie in the base ring and [x,y] in the
         fixed subalgebra.  Any violation would signal an implementation bug.
         """
-        basis = self.twisted.window_basis(window)
+        tw = self.twisted
+        basis = tw.window_basis(window)
+        in_g0 = {}  # (residue, a, residue, b) -> whether [x_a, y_b] lies in g_0
         failures = []
         checked = 0
-        for i, (adeg, apos, ael) in enumerate(basis):
-            ((ea, va),) = ael.terms.items()
-            for j in range(i, len(basis)):
-                bdeg, bpos, bel = basis[j]
-                ((eb, vb),) = bel.terms.items()
-                cls = self.cocycle_class_of_pair(ea, eb)
+        for i, (adeg, apos, _) in enumerate(basis):
+            for bdeg, bpos, _ in basis[i:]:
+                cls = self.cocycle_class_of_pair(adeg, bdeg)
                 if cls.is_zero() or not cls.in_base_part():
                     continue
                 checked += 1
-                product_in_r = self.ring.monomial(
-                    tuple(x + y for x, y in zip(ea, eb))
-                ).in_base_ring()
-                bracket_in_g0 = self.twisted.in_g0(
-                    self.algebra.bracket(list(va), list(vb))
-                )
+                product_in_r = self.ring.in_base_lattice(tuple(map(add, adeg, bdeg)))
+                key = (tw.residue(adeg), apos, tw.residue(bdeg), bpos)
+                if key not in in_g0:
+                    x, y = tw.eigen.component(key[0])[apos], tw.eigen.component(key[2])[bpos]
+                    in_g0[key] = tw.in_g0(self.algebra.bracket(list(x), list(y)))
+                bracket_in_g0 = in_g0[key]
                 if not (product_in_r and bracket_in_g0):
                     failures.append(
                         {

@@ -310,13 +310,10 @@ def class_basis_at(ring: LaurentRing, degree):
     ]
 
 
-def graded_class_dim(ring: LaurentRing, degree) -> int:
-    return ring.n if not any(degree) else ring.n - 1
-
-
-def _invariant_classes_at(ring: LaurentRing, degree):
-    """Basis of (Omega_S/dS)^G at one degree; empty off the base lattice."""
-    return class_basis_at(ring, degree) if ring.in_base_lattice(degree) else []
+def central_slots(ring: LaurentRing, degree):
+    """Slots of the invariant classes at one degree: the surviving slots on the
+    base lattice, none off it."""
+    return slot_indices(ring, degree) if ring.in_base_lattice(degree) else []
 
 
 def invariant_class_basis(ring: LaurentRing, window: int):
@@ -325,7 +322,9 @@ def invariant_class_basis(ring: LaurentRing, window: int):
     These are exactly the classes whose degree is divisible by the orders.
     """
     return [
-        c for degree in box_degrees(ring.n, window) for c in _invariant_classes_at(ring, degree)
+        CentralClass.basis_class(ring, degree, i)
+        for degree in box_degrees(ring.n, window)
+        for i in central_slots(ring, degree)
     ]
 
 
@@ -356,8 +355,8 @@ def base_ring_classes_at(ring: LaurentRing, degree):
 def invariant_matches_base_image_at(ring: LaurentRing, degree) -> bool:
     """Invariant classes at the degree equal the reduced base-ring image.
 
-    Both inclusions are checked by rank computation; base-ring forms may not
-    leak into other degrees.
+    Both spans are compared with `SpanSolver`; base-ring forms may not leak
+    into other degrees.
     """
     degree = tuple(degree)
     slots = slot_indices(ring, degree)
@@ -370,12 +369,9 @@ def invariant_matches_base_image_at(ring: LaurentRing, degree) -> bool:
     for c in base:
         if any(d != degree for d in c.degrees()):
             return False
-    inv = [flat(c) for c in class_basis_at(ring, degree)]
+    inv = linalg.SpanSolver(ring.field, [flat(c) for c in class_basis_at(ring, degree)])
     img = [flat(c) for c in base]
-    ra = linalg.rank(inv, ring.field) if inv else 0
-    rb = linalg.rank(img, ring.field) if img else 0
-    rab = linalg.rank(inv + img, ring.field) if inv or img else 0
-    return ra == rb == rab
+    return linalg.SpanSolver(ring.field, img).dim == inv.dim and all(map(inv.contains, img))
 
 
 def invariant_matches_base_image(ring: LaurentRing, window: int) -> bool:

@@ -17,6 +17,7 @@ from .liealg import (
     diagram_automorphism,
     identity_automorphism,
 )
+from .rootsystem import POSITIVE_ROOT_COUNTS
 
 VALID_FAMILIES = "ABCDEFG"
 
@@ -24,6 +25,8 @@ VALID_FAMILIES = "ABCDEFG"
 # Q(zeta_M) of degree phi(M) and splits g into M eigenspaces, so its cost
 # grows quickly with M, and a conductor in the thousands never finishes
 MAX_CONDUCTOR = 60
+# the largest dim g a spec may declare, that of E8: set-up grows steeply with it
+MAX_DIM = 248
 
 
 def _integer(value) -> int:
@@ -74,6 +77,10 @@ class SessionSpec:
             raise SpecError(f"unknown family {self.family!r}: expected one letter A-G")
         if self.rank < 1:
             raise SpecError(f"rank must be positive, got {self.rank}")
+        if self.family in "ABCD":  # the build refuses an E, F or G of another rank
+            dim = 2 * POSITIVE_ROOT_COUNTS[self.family](self.rank) + self.rank
+            if dim > MAX_DIM:
+                raise SpecError(f"{self.family}{self.rank} has dim {dim}, over MAX_DIM = {MAX_DIM}")
         if len(self.autos) != len(self.orders):
             raise SpecError(
                 f"{len(self.autos)} automorphisms declared for {len(self.orders)} orders"
@@ -102,6 +109,12 @@ class SessionSpec:
             elif kind == "matrix":
                 if "entries" not in a or "order" not in a:
                     raise SpecError("matrix automorphism spec needs entries and order")
+                try:
+                    order = _integer(a["order"])
+                except (TypeError, ValueError) as exc:
+                    raise SpecError(f"invalid automorphism spec {a}: {exc}") from exc
+                if order > MAX_CONDUCTOR:  # a usable order divides a loop order
+                    raise SpecError(f"matrix order {order} is over MAX_CONDUCTOR = {MAX_CONDUCTOR}")
             elif kind != "identity":
                 raise SpecError(f"unknown automorphism kind {kind!r}")
 
@@ -183,7 +196,7 @@ class Session:
     # -- summaries -----------------------------------------------------------
 
     def info(self) -> dict:
-        from .kaehler import graded_class_dim
+        from .kaehler import central_slots
         from .laurent import box_degrees
         from .liealg import is_central_simple
 
@@ -195,7 +208,7 @@ class Session:
         omega = {}
         for deg in box_degrees(self.ring.n, self.spec.window):
             if self.ring.in_base_lattice(deg):
-                omega[",".join(str(c) for c in deg)] = graded_class_dim(self.ring, deg)
+                omega[",".join(str(c) for c in deg)] = len(central_slots(self.ring, deg))
         return {
             "dim_g": self.algebra.dim,
             "eigendims": eigendims,

@@ -201,6 +201,55 @@ def test_conductor_over_the_limit_exits_2(tmp_path, capsys):
     assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err and "Traceback" not in err
 
 
+def test_rank_over_the_dimension_limit_exits_2_at_once(tmp_path, capsys):
+    from multiloop.session import MAX_DIM
+
+    bad = tmp_path / "big.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "algebra": {"family": "A", "rank": 10**9},
+                "autos": [{"kind": "identity"}],
+                "orders": [1],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "--spec", str(bad))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert f"MAX_DIM = {MAX_DIM}" in err and "Traceback" not in err
+
+
+def test_matrix_order_over_the_limit_exits_2_at_once(tmp_path, capsys):
+    # exp(ad e) on A1 preserves the bracket and has infinite order: the order
+    # check would make one composition per unit of the declared order, so the
+    # spec is never run without the limit
+    from multiloop.session import MAX_CONDUCTOR
+
+    bad = tmp_path / "order.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "algebra": {"family": "A", "rank": 1},
+                "autos": [
+                    {
+                        "kind": "matrix",
+                        "entries": [[1, -1, -2], [0, 1, 0], [0, 1, 1]],
+                        "order": 10**9,
+                    }
+                ],
+                "orders": [1],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "--spec", str(bad))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert f"MAX_CONDUCTOR = {MAX_CONDUCTOR}" in err and "Traceback" not in err
+
+
 def test_non_commuting_autos_exit_2(tmp_path, capsys):
     from multiloop.cyclotomic import CyclotomicField
     from multiloop.liealg import build_algebra, diagram_automorphism

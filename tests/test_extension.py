@@ -7,7 +7,7 @@ from multiloop import linalg
 from multiloop.errors import MismatchError
 from multiloop.kaehler import (
     CentralClass,
-    _invariant_classes_at,
+    central_slots,
     class_basis_at,
     invariant_matches_base_image_at,
 )
@@ -328,7 +328,7 @@ def reference_decomposition(ext, window):
         comp = tw.component_gbasis(degree)
         span = linalg.SpanSolver(ext.field, comp)
         same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
-        central_expected = len(_invariant_classes_at(ext.ring, degree))
+        central_expected = len(central_slots(ext.ring, degree))
         central_fixed = ext._fixed_central_dim(degree)
         dim_checks[str(list(degree))] = {
             "loop_fixed": len(fixed),
@@ -434,3 +434,107 @@ def test_unreduced_pivot_gives_the_reference_failures(monkeypatch):
     cocycle, jacobi, _ = assert_structural_reports_match_references(session.ext, 1)
     assert any(f["kind"] == "cocycle" for f in cocycle["failures"])
     assert any(f["kind"] == "jacobi" for f in jacobi["failures"])
+
+
+# -- sandr and the structural suites: one route each ---------------------------
+
+
+def reference_base_ring_pairs(ext, window):
+    """The per-pair `base_ring_pairs`: each window pair with a nonzero
+    base-lattice class builds its Laurent monomial and brackets its two
+    g-vectors."""
+    basis = ext.twisted.window_basis(window)
+    failures = []
+    checked = 0
+    for i, (adeg, apos, ael) in enumerate(basis):
+        ((ea, va),) = ael.terms.items()
+        for j in range(i, len(basis)):
+            bdeg, bpos, bel = basis[j]
+            ((eb, vb),) = bel.terms.items()
+            cls = ext.cocycle_class_of_pair(ea, eb)
+            if cls.is_zero() or not cls.in_base_part():
+                continue
+            checked += 1
+            product_in_r = ext.ring.monomial(tuple(x + y for x, y in zip(ea, eb))).in_base_ring()
+            bracket_in_g0 = ext.twisted.in_g0(ext.algebra.bracket(list(va), list(vb)))
+            if not (product_in_r and bracket_in_g0):
+                failures.append(
+                    {
+                        "pair": [[list(adeg), apos], [list(bdeg), bpos]],
+                        "product_in_base": product_in_r,
+                        "bracket_in_fixed": bracket_in_g0,
+                    }
+                )
+    return {
+        "passed": not failures,
+        "window": window,
+        "pairs_with_nonzero_class": checked,
+        "failures": failures,
+    }
+
+
+@pytest.mark.parametrize("spec", sorted(path.stem for path in SPECS_DIR.glob("*.json")))
+def test_sandr_decides_each_key_once_and_matches_the_per_pair_reference(spec, monkeypatch):
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    ext, tw, alg = session.ext, session.twisted, session.algebra
+    window = session.spec.window
+    assert ext.base_ring_pairs(window) == reference_base_ring_pairs(ext, window)
+
+    # in_g0 lies for the bracket of the first checked pair with a nonzero bracket
+    basis, keys, target = tw.window_basis(window), set(), None
+    for i, (mu, a, x) in enumerate(basis):
+        for nu, b, y in basis[i:]:
+            cls = ext.cocycle_class_of_pair(mu, nu)
+            if cls.is_zero() or not cls.in_base_part():
+                continue
+            keys.add((tw.residue(mu), a, tw.residue(nu), b))
+            w = alg.bracket(list(x.component(mu)), list(y.component(nu)))
+            if target is None and any(w):
+                target = w
+    assert target is not None
+    honest, calls = tw.in_g0, []
+
+    def lying_in_g0(gvec):
+        calls.append(gvec)
+        return honest(gvec) != (list(gvec) == target)
+
+    monkeypatch.setattr(tw, "in_g0", lying_in_g0)
+    rep = ext.base_ring_pairs(window)
+    assert len(calls) <= len(keys)
+    assert not rep["passed"]
+    assert rep == reference_base_ring_pairs(ext, window)
+
+
+@pytest.mark.parametrize(
+    "spec, window, max_brackets", [("a1_untwisted_n2", 3, 18), ("d4_bitwist", None, None)]
+)
+def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
+    spec, window, max_brackets, monkeypatch
+):
+    # at most one g-bracket per pair-table key and one per sandr key; the
+    # lifted action is left for loop pairs whose sides have no coordinates
+    from multiloop.checks import CHECK_NAMES, run_checks
+    from multiloop.extension import CentralExtension
+    from multiloop.liealg import SplitSimpleLieAlgebra
+
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    if window:
+        session.spec.window = window
+    calls = {"bracket": 0, "lifted_action": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SplitSimpleLieAlgebra, "bracket")
+    counted(CentralExtension, "lifted_action")
+    reports = [run_checks(session, name)[0] for name in CHECK_NAMES if name != "zrel"]
+    assert len(reports) == 6 and all(rep["passed"] for rep in reports)
+    assert calls["lifted_action"] == 0
+    if max_brackets is not None:
+        assert calls["bracket"] <= max_brackets

@@ -12,9 +12,9 @@ from multiloop.kaehler import (
     CentralClass,
     DifferentialForm,
     base_ring_classes_at,
+    central_slots,
     class_basis_at,
     differential,
-    graded_class_dim,
     invariant_class_basis,
     invariant_matches_base_image,
     reduce_form,
@@ -118,7 +118,7 @@ def test_graded_dimension_law():
             cls = reduce_form(DifferentialForm(ring, tuple(form_comps)))
             vec = cls.component(degree)
             vecs.append([vec[t] for t in slots])
-        expect = graded_class_dim(ring, degree)
+        expect = len(central_slots(ring, degree))
         assert linalg.rank(vecs, ring.field) == expect
         assert expect == (2 if not any(degree) else 1)
 

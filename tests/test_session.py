@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multiloop import cli
 from multiloop.cyclotomic import CyclotomicField
 from multiloop.errors import SpecError
 from multiloop.liealg import build_algebra, diagram_automorphism
 from multiloop.rootsystem import root_system
-from multiloop.session import MAX_CONDUCTOR, Session, SessionSpec, load_spec
+from multiloop.session import MAX_CONDUCTOR, MAX_DIM, Session, SessionSpec, load_spec
 
 from tests.conftest import make_session
 
@@ -183,3 +191,87 @@ def test_conductor_is_lcm_of_orders():
     )
     assert session.field.conductor == 6
     assert session.ring.orders == (2, 3)
+
+
+def _identity_spec(family, rank):
+    return {
+        "algebra": {"family": family, "rank": rank},
+        "autos": [{"kind": "identity"}],
+        "orders": [1],
+    }
+
+
+@pytest.mark.parametrize(
+    "family, rank, dim", [("A", 15, 255), ("B", 11, 253), ("C", 11, 253), ("D", 12, 276)]
+)
+def test_dimension_over_the_limit_is_refused(family, rank, dim):
+    # refused in validate, before any field or algebra is built
+    with pytest.raises(SpecError, match=f"has dim {dim}, over MAX_DIM = {MAX_DIM}"):
+        SessionSpec.from_dict(_identity_spec(family, rank))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 14), ("D", 11), ("E", 8)])
+def test_dimension_at_most_the_limit_passes_validate(family, rank):
+    start = time.perf_counter()
+    spec = SessionSpec.from_dict(_identity_spec(family, rank))
+    assert (spec.family, spec.rank) == (family, rank)
+    assert time.perf_counter() - start < 0.5
+
+
+# arbitrary JSON values, including the ones a strict reader must refuse
+_JSON_VALUE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.sampled_from([0, -1, 10**9, 10**100, 1.0, 2.5, math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+# the paths of every spec field, on a matrix spec that from_dict accepts
+_FIELD_PATHS = [
+    (), ("algebra",), ("algebra", "family"), ("algebra", "rank"), ("autos",), ("autos", 0),
+    ("autos", 0, "kind"), ("autos", 0, "entries"), ("autos", 0, "order"), ("orders",),
+    ("orders", 0), ("window",), ("margin",), ("seed",),
+]
+
+
+def _matrix_spec():
+    identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    return {
+        "algebra": {"family": "A", "rank": 1},
+        "autos": [{"kind": "matrix", "entries": identity, "order": 1}],
+        "orders": [1],
+        "window": 1,
+        "margin": 1,
+        "seed": 0,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_FIELD_PATHS), value=_JSON_VALUE)
+def test_spec_reader_returns_a_spec_or_a_spec_error(path, value):
+    data = value
+    if path:
+        data = _matrix_spec()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        SessionSpec.from_dict(data)
+    except SpecError:
+        pass
+    else:
+        return  # an accepted document is never run here
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["dump-sc", "--spec", str(spec_path)])
+    assert code == 2 and not out.getvalue()
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()

@@ -47,7 +47,12 @@ def test_traced_point_exists(owner, attr):
 
 
 @pytest.mark.parametrize(
-    "target,workload", [("h2/a2_twisted", "h2-build"), ("check/a2_twisted", "suites-q")]
+    "target,workload",
+    [
+        ("h2/a2_twisted", "h2-build"),
+        ("check/a2_twisted", "suites-q"),
+        ("check/d4_triality", "suites-d4"),
+    ],
 )
 def test_traced_target_matches_reference_and_fires_coverage(target, workload):
     # each child is a fresh interpreter, as in `bench/run.py --trace 1`
