@@ -170,7 +170,7 @@ def main(argv=None) -> int:
             gen = args.generator_window
             rep = session.ext.centre_window(
                 session.spec.window,
-                generator_window=gen if gen is not None else None,
+                generator_window=gen,
             )
             payload = {**_header(session, "centre"), **rep}
             _emit(payload, args.table)

@@ -51,32 +51,6 @@ class WindowedCochain:
         out = tuple(vec.get(uid, zero) for vec in self.vectors)
         return out if sign == 1 else tuple(-x for x in out)
 
-    def evaluate(self, x, y):
-        """Value on two loop elements supported in the window."""
-        tw = self.twisted
-        field = tw.field
-        out = [field.zero] * self.vdim
-        for e1, v1 in x.terms.items():
-            c1 = tw.component_coords(e1, v1)
-            if c1 is None:
-                raise StructureError("first argument is not in the descended algebra")
-            for e2, v2 in y.terms.items():
-                c2 = tw.component_coords(e2, v2)
-                if c2 is None:
-                    raise StructureError("second argument is not in the descended algebra")
-                if tuple(a + b for a, b in zip(e1, e2)) != self.lam:
-                    continue
-                for a, ca in enumerate(c1):
-                    if ca:
-                        for b, cb in enumerate(c2):
-                            if cb:
-                                val = self.value(e1, e2, a, b)
-                                factor = ca * cb
-                                for t in range(self.vdim):
-                                    if val[t]:
-                                        out[t] = out[t] + factor * val[t]
-        return tuple(out)
-
     # -- arithmetic ----------------------------------------------------------------
 
     def _check(self, other):
@@ -366,23 +340,14 @@ def cocycle_space_report(ext: CentralExtension, lam, window: int) -> dict:
 
 
 def is_windowed_cocycle(ext: CentralExtension, P: WindowedCochain) -> bool:
-    """Direct evaluation of the cocycle identity on all window triples."""
-    tw = P.twisted
-    basis = tw.window_basis(P.window)
-    lb = tw.loopalg.bracket
-    for i, j, k in _window_triples(basis, P.lam, P.window):
-        xi, xj, xk = basis[i][2], basis[j][2], basis[k][2]
-        total = tuple(
-            a + b + c
-            for a, b, c in zip(
-                P.evaluate(lb(xi, xj), xk),
-                P.evaluate(lb(xj, xk), xi),
-                P.evaluate(lb(xk, xi), xj),
-            )
-        )
-        if any(total):
-            return False
-    return True
+    """The cocycle identity on all window triples: each value coordinate of P
+    is orthogonal to every constraint row of `cocycle_space_report`."""
+    zero = P.twisted.field.zero
+    return not any(
+        sum((c * vec[uid] for uid, c in row.items() if uid in vec), zero)
+        for row in _constraint_rows(ext, P.index)
+        for vec in P.vectors
+    )
 
 
 def g0_is_semisimple(twisted) -> bool:
@@ -399,10 +364,12 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
 
     Returns (P', tau) with P' = P + d tau and P'(x (x) s^lam, y (x) 1) = 0 for
     all x in the lam component and y in the fixed subalgebra.  Raises when the
-    solve is inconsistent, distinguishing a non-semisimple fixed subalgebra
-    from a window that is too small.
+    fixed subalgebra is not semisimple, the hypothesis of the construction,
+    and when the solve is inconsistent: a window that is too small.
     """
     tw = P.twisted
+    if not g0_is_semisimple(tw):
+        raise StructureError("normalization failed: the fixed subalgebra is not semisimple")
     lam = P.lam
     field = tw.field
     dim_lam = tw.component_dim(lam)
@@ -419,10 +386,6 @@ def invariantize(ext: CentralExtension, P: WindowedCochain):
     for t in range(P.vdim):
         sol = linalg.solve_system(rows, [v[t] for v in rhs], field)
         if sol is None:
-            if not g0_is_semisimple(tw):
-                raise StructureError(
-                    "normalization failed: the fixed subalgebra is not semisimple"
-                )
             raise StructureError(
                 "normalization failed: window too small for a consistent solve"
             )
@@ -455,19 +418,6 @@ class CentralClassMap:
         self.matrix = matrix  # matrix[slot_pos][t]
         self.vdim = vdim
 
-    def apply(self, central_class):
-        """Extend by zero off the internal degree."""
-        field = self.ext.field
-        out = [field.zero] * self.vdim
-        vec = central_class.component(self.lam)
-        for pos, slot in enumerate(self.slots):
-            c = vec[slot]
-            if c:
-                for t in range(self.vdim):
-                    if self.matrix[pos][t]:
-                        out[t] = out[t] + c * self.matrix[pos][t]
-        return tuple(out)
-
     def on_basis(self):
         return [tuple(self.matrix[pos]) for pos in range(len(self.slots))]
 
@@ -478,7 +428,15 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
     For base-lattice monomial pairs (s^mu, s^nu) with mu + nu = lam, the
     value block on the fixed subalgebra must be proportional to the Killing
     block; the proportionality constants then factor through the reduction
-    map, which is verified by an exact linear solve.
+    map, which is verified by an exact linear solve.  Its consistency implies
+    the cyclic relation z_{ab,c} + z_{bc,a} + z_{ca,b} = 0 of the reduction
+    map; z_{a,1} = 0 and antisymmetry of z hold for any normalized cochain.
+
+    Raises when the window is too small.  A base-lattice degree is a multiple
+    of m_i in coordinate i, so below window m_i every base pair (mu, nu) has
+    mu_i = nu_i = 0: then lam_i = 0, slot i is a central slot at lam, and no
+    class s^mu d s^nu reaches it.  On D4 triality (m = 3) the extraction
+    therefore fails at windows 1 and 2 and succeeds from window 3.
     """
     tw = P.twisted
     ring = ext.ring
@@ -521,33 +479,6 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
                     )
         z_values[(mu, nu)] = z
 
-    # relations of the reduction map on the available pairs
-    for (mu, nu), z in z_values.items():
-        if nu == zero_degree and any(z):
-            raise StructureError("z_{a,1} != 0 for a normalized cochain")
-        rev = z_values.get((nu, mu))
-        if rev is not None and tuple(-x for x in rev) != z:
-            raise StructureError("z antisymmetry fails")
-    # cyclic relation z_{ab,c} + z_{bc,a} + z_{ca,b} = 0 on in-window triples
-    for mu in base_degrees:
-        for nu in base_degrees:
-            for rho in base_degrees:
-                if tuple(a + b + c for a, b, c in zip(mu, nu, rho)) != lam:
-                    continue
-                keys = [
-                    (tuple(a + b for a, b in zip(mu, nu)), rho),
-                    (tuple(a + b for a, b in zip(nu, rho)), mu),
-                    (tuple(a + b for a, b in zip(rho, mu)), nu),
-                ]
-                if any(key not in z_values for key in keys):
-                    continue
-                total = tuple(
-                    sum(vals, field.zero)
-                    for vals in zip(*(z_values[key] for key in keys))
-                )
-                if any(total):
-                    raise StructureError("cyclic relation of the reduction map fails")
-
     # solve phi on class coordinates: class(s^mu d s^nu) |-> z_{mu,nu}
     rows, rhs = [], []
     for (mu, nu), z in z_values.items():
@@ -573,43 +504,42 @@ def extract_class_map(ext: CentralExtension, P: WindowedCochain) -> CentralClass
 def universal_map_check(ext: CentralExtension, P: WindowedCochain) -> dict:
     """Verify the universal-map construction against the extension by P.
 
-    Normalizes P, extracts the class map, and checks that X + Z |-> (X, phi(Z))
+    Normalizes P, extracts the class map phi, and checks that X + Z |-> (X, phi(Z))
     intertwines the extension bracket with the bracket defined by the
-    normalized cochain on every pair of window basis elements.
+    normalized cochain P0 on every pair of extended window basis elements.
+    In cochain coordinates that is P0 = phi o (canonical slice at lam), unknown
+    by unknown: pairs off lam, pairs with a central vector and diagonal pairs
+    are zero on both sides.  `failures` names the (mu, nu, a, b) entries
+    where the two sides differ.
     """
     tw = P.twisted
     if not is_windowed_cocycle(ext, P):
         raise StructureError("P is not a windowed cocycle")
-    P0, tau = invariantize(ext, P)
+    P0, _ = invariantize(ext, P)
     phi = extract_class_map(ext, P0)
-    basis = ext.extended_window_basis(P.window)
-    failures = []
-    checked = 0
-    for i, A in enumerate(basis):
-        for j in range(i, len(basis)):
-            B = basis[j]
-            checked += 1
-            big = ext.bracket(A, B)
-            lhs = phi.apply(big.central)
-            rhs = P0.evaluate(A.loop, B.loop)
-            if lhs != rhs:
-                failures.append(
-                    {
-                        "pair": [i, j],
-                        "degrees": [
-                            [list(d) for d in A.loop.support()],
-                            [list(d) for d in B.loop.support()],
-                        ],
-                    }
-                )
+    index = P0.index
+    diff = P0
+    slice_cochain = canonical_slice(ext, P.lam, P.window)
+    if slice_cochain is not None:
+        for vec, row in zip(slice_cochain.vectors, phi.on_basis()):
+            diff = diff - WindowedCochain(index, [vec]).tensor(row)
+    bad = {uid for vec in diff.vectors for uid in vec}
+    failures = [
+        {"entry": [list(mu), list(nu), a, b]}
+        for mu, nu in index.blocks
+        for a in range(tw.component_dim(mu))
+        for b in range(a + 1 if mu == nu else 0, tw.component_dim(nu))
+        if index.unknown(mu, nu, a, b)[0] in bad
+    ]
     # diagram conditions: the map restricted to the centre is phi, and the
     # loop part passes through unchanged; both hold by construction of the
-    # section, which the bracket comparison above already exercises.
+    # section, which the comparison above already exercises.
+    n = len(ext.extended_window_basis(P.window))
     return {
         "passed": not failures,
         "window": P.window,
         "vdim": P.vdim,
-        "pairs": checked,
+        "pairs": n * (n + 1) // 2,
         "failures": failures,
         "phi_on_basis": [[str(x) for x in row] for row in phi.on_basis()],
     }

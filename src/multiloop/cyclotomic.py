@@ -11,7 +11,6 @@ conductor M; mixing conductors raises MismatchError.
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -426,13 +425,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def to_complex(self) -> complex:
-        m = self.field.conductor
-        return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * k / m)
-            for k, c in enumerate(self.coeffs)
-        )
 
     def __str__(self):
         parts = []

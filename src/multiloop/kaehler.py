@@ -372,15 +372,3 @@ def invariant_matches_base_image_at(ring: LaurentRing, degree) -> bool:
     inv = linalg.SpanSolver(ring.field, [flat(c) for c in class_basis_at(ring, degree)])
     img = [flat(c) for c in base]
     return linalg.SpanSolver(ring.field, img).dim == inv.dim and all(map(inv.contains, img))
-
-
-def invariant_matches_base_image(ring: LaurentRing, window: int) -> bool:
-    """The window fixed classes equal the reduced base-ring image, degree by degree.
-
-    Off the base lattice both sides are empty.
-    """
-    return all(
-        invariant_matches_base_image_at(ring, degree)
-        for degree in box_degrees(ring.n, window)
-        if ring.in_base_lattice(degree)
-    )

@@ -295,9 +295,6 @@ class LaurentPoly:
             {e: c * group.character(g, e) for e, c in self.terms.items()},
         )
 
-    def in_base_ring(self) -> bool:
-        return all(self.ring.in_base_lattice(e) for e in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -317,16 +317,6 @@ class SplitSimpleLieAlgebra:
         if not linalg.det(self.killing_matrix, self.field):
             raise StructureError("Killing form is degenerate")
 
-    def jacobi_holds_ordered(self) -> bool:
-        """Jacobi over all ordered basis triples (slow path used by test suites)."""
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if self._jacobi_defect(i, j, k):
-                        return False
-        return True
-
     # -- serialization ------------------------------------------------------------
 
     def structure_records(self):
@@ -477,10 +467,6 @@ class LieAutomorphism:
 
     def eigenspace(self, eigenvalue):
         return _joint_eigenspace(self.algebra, [(self.columns, eigenvalue)])
-
-    def matrix_records(self):
-        return [[str(self.columns[j][i]) for j in range(self.algebra.dim)]
-                for i in range(self.algebra.dim)]
 
 
 def _joint_eigenspace(algebra, pairs):

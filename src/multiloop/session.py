@@ -145,7 +145,7 @@ class Session:
 
     def __init__(self, spec: SessionSpec):
         self.spec = spec
-        conductor = lcm(*spec.orders) if spec.orders else 1
+        conductor = lcm(*spec.orders)
         self.field = CyclotomicField(conductor)
         try:
             self.algebra = build_algebra(spec.family, spec.rank, self.field)

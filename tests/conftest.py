@@ -1,6 +1,32 @@
 import pytest
 
+from multiloop.kaehler import invariant_matches_base_image_at
+from multiloop.laurent import box_degrees
 from multiloop.session import Session, SessionSpec
+
+
+def in_base_ring(p) -> bool:
+    """Every exponent of the Laurent polynomial p lies in the base lattice."""
+    return all(p.ring.in_base_lattice(e) for e in p.terms)
+
+
+def invariant_matches_base_image(ring, window: int) -> bool:
+    """The window fixed classes equal the reduced base-ring image, degree by degree.
+
+    Off the base lattice both sides are empty.
+    """
+    return all(
+        invariant_matches_base_image_at(ring, degree)
+        for degree in box_degrees(ring.n, window)
+        if ring.in_base_lattice(degree)
+    )
+
+
+def matrix_records(auto):
+    """The matrix of a Lie automorphism as rows of strings, the form a
+    "matrix" entry of a spec takes."""
+    dim = auto.algebra.dim
+    return [[str(auto.columns[j][i]) for j in range(dim)] for i in range(dim)]
 
 
 def make_session(family, rank, autos, orders, window=2, margin=1, seed=0) -> Session:

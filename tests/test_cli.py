@@ -8,6 +8,8 @@ import pytest
 
 from multiloop import cli
 
+from tests.conftest import matrix_records
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
@@ -270,7 +272,7 @@ def test_non_commuting_autos_exit_2(tmp_path, capsys):
             {
                 "algebra": {"family": "A", "rank": 2},
                 "autos": [
-                    {"kind": "matrix", "entries": sigma.matrix_records(), "order": 2},
+                    {"kind": "matrix", "entries": matrix_records(sigma), "order": 2},
                     {"kind": "matrix", "entries": tau_entries, "order": 2},
                 ],
                 "orders": [2, 2],

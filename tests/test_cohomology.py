@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from multiloop import linalg
+from multiloop import cohomology, linalg
 from multiloop.cohomology import (
     CochainIndex,
     _constraint_rows,
@@ -20,6 +21,98 @@ from multiloop.cohomology import (
 )
 from multiloop.errors import MismatchError, StructureError
 from multiloop.kaehler import class_basis_at
+from multiloop.session import Session, load_spec
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+# -- element-level references for the cochain-coordinate routes ----------------
+
+
+def evaluate(P, x, y):
+    """P on two loop elements supported in the window, through the component
+    coordinates of every term pair."""
+    tw = P.twisted
+    field = tw.field
+    out = [field.zero] * P.vdim
+    for e1, v1 in x.terms.items():
+        c1 = tw.component_coords(e1, v1)
+        if c1 is None:
+            raise StructureError("first argument is not in the descended algebra")
+        for e2, v2 in y.terms.items():
+            c2 = tw.component_coords(e2, v2)
+            if c2 is None:
+                raise StructureError("second argument is not in the descended algebra")
+            if tuple(a + b for a, b in zip(e1, e2)) != P.lam:
+                continue
+            for a, ca in enumerate(c1):
+                if ca:
+                    for b, cb in enumerate(c2):
+                        if cb:
+                            val = P.value(e1, e2, a, b)
+                            factor = ca * cb
+                            for t in range(P.vdim):
+                                if val[t]:
+                                    out[t] = out[t] + factor * val[t]
+    return tuple(out)
+
+
+def element_is_windowed_cocycle(ext, P):
+    """The cocycle identity on all window triples through element brackets."""
+    tw = P.twisted
+    basis = tw.window_basis(P.window)
+    lb = tw.loopalg.bracket
+    for i, j, k in _window_triples(basis, P.lam, P.window):
+        xi, xj, xk = basis[i][2], basis[j][2], basis[k][2]
+        total = tuple(
+            a + b + c
+            for a, b, c in zip(
+                evaluate(P, lb(xi, xj), xk),
+                evaluate(P, lb(xj, xk), xi),
+                evaluate(P, lb(xk, xi), xj),
+            )
+        )
+        if any(total):
+            return False
+    return True
+
+
+def apply_class_map(phi, central_class):
+    """phi on a central class, extended by zero off its internal degree."""
+    out = [phi.ext.field.zero] * phi.vdim
+    vec = central_class.component(phi.lam)
+    for pos, slot in enumerate(phi.slots):
+        c = vec[slot]
+        if c:
+            for t in range(phi.vdim):
+                if phi.matrix[pos][t]:
+                    out[t] = out[t] + c * phi.matrix[pos][t]
+    return tuple(out)
+
+
+def element_universal_map_check(ext, P):
+    """`universal_map_check` pair by pair: the extension bracket of every pair
+    of extended window basis elements against the normalized cochain."""
+    if not element_is_windowed_cocycle(ext, P):
+        raise StructureError("P is not a windowed cocycle")
+    P0, _ = cohomology.invariantize(ext, P)
+    phi = cohomology.extract_class_map(ext, P0)
+    basis = ext.extended_window_basis(P.window)
+    failures = []
+    checked = 0
+    for i, A in enumerate(basis):
+        for j in range(i, len(basis)):
+            B = basis[j]
+            checked += 1
+            lhs = apply_class_map(phi, ext.bracket(A, B).central)
+            if lhs != evaluate(P0, A.loop, B.loop):
+                failures.append([i, j])
+    return {
+        "passed": not failures,
+        "pairs": checked,
+        "failures": failures,
+        "phi_on_basis": [[str(x) for x in row] for row in phi.on_basis()],
+    }
 
 
 def random_tau(tw, lam, vdim, rng, span=3):
@@ -140,7 +233,7 @@ def test_extract_zero_cochain(a1_n1):
     phi = extract_class_map(ext, zero)
     assert phi.on_basis() == [(ext.field.zero,)]
     z = class_basis_at(ext.ring, (0,))[0]
-    assert phi.apply(z) == (ext.field.zero,)
+    assert apply_class_map(phi, z) == (ext.field.zero,)
 
 
 def test_choice_independence_on_random_pairs(a1_n1):
@@ -157,8 +250,8 @@ def test_choice_independence_on_random_pairs(a1_n1):
         xp = [sum(rng.randint(-2, 2) * v[i] for v in g0) for i in range(alg.dim)]
         yp = [sum(rng.randint(-2, 2) * v[i] for v in g0) for i in range(alg.dim)]
         a, b = (1,), (-1,)
-        lhs = P0.evaluate(la.pure(x, a), la.pure(y, b))[0] * alg.killing(xp, yp)
-        rhs = P0.evaluate(la.pure(xp, a), la.pure(yp, b))[0] * alg.killing(x, y)
+        lhs = evaluate(P0, la.pure(x, a), la.pure(y, b))[0] * alg.killing(xp, yp)
+        rhs = evaluate(P0, la.pure(xp, a), la.pure(yp, b))[0] * alg.killing(x, y)
         assert lhs == rhs
 
 
@@ -264,15 +357,15 @@ def test_cochain_evaluate_bilinearity(a2_twisted):
     x = tw.component_basis((1,))[0]
     y = tw.component_basis((-1,))[1]
     z = tw.component_basis((-1,))[2]
-    lhs = P.evaluate(x, y + z)
-    rhs = tuple(a + b for a, b in zip(P.evaluate(x, y), P.evaluate(x, z)))
+    lhs = evaluate(P, x, y + z)
+    rhs = tuple(a + b for a, b in zip(evaluate(P, x, y), evaluate(P, x, z)))
     assert lhs == rhs
     # matches the extension cocycle value in slot coordinates
     from multiloop.kaehler import slot_indices
 
     cls = ext.cocycle(x, y)
     slots = slot_indices(ext.ring, (0,))
-    assert P.evaluate(x, y) == tuple(cls.component((0,))[i] for i in slots)
+    assert evaluate(P, x, y) == tuple(cls.component((0,))[i] for i in slots)
 
 
 def brute_force_triples(basis, lam, window):
@@ -372,3 +465,134 @@ def test_assembly_matches_unmemoised_reference(monkeypatch, request, name, windo
     assert expected_b2 and any(expected_b2)
     assert boundaries_fed[: len(expected_b2)] == expected_b2
     assert report["constraints"] == len(expected_rows)
+
+
+def spec_session(name):
+    return Session(load_spec(SPECS / f"{name}.json"))
+
+
+def both_routes(ext, P):
+    """The report of `universal_map_check` and of its element reference, or
+    the StructureError each raised."""
+    out = []
+    for route in (universal_map_check, element_universal_map_check):
+        try:
+            out.append(route(ext, P))
+        except StructureError as err:
+            out.append(err)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,window",
+    [("a1_n1", 2), ("a2_twisted", 2), ("a1_n2", 1), ("d4_triality", 3)],
+)
+def test_universal_map_check_matches_element_reference(request, name, window):
+    ext = request.getfixturevalue(name).ext
+    tw = ext.twisted
+    lam = (0,) * ext.ring.n
+    rng = random.Random(10)
+    P = canonical_slice(ext, lam, window)
+    if P.vdim == 1:
+        P = P.tensor([rng.randint(1, 5), rng.randint(-5, -1)])
+    cases = [
+        P + coboundary(tw, lam, window, random_tau(tw, lam, P.vdim, rng)),
+        coboundary(tw, lam, window, random_tau(tw, lam, 1, rng)),
+    ]
+    for case in cases:
+        new, reference = both_routes(ext, case)
+        assert new["passed"] and reference["passed"]
+        assert new["pairs"] == reference["pairs"]
+        assert new["phi_on_basis"] == reference["phi_on_basis"]
+        assert new["failures"] == reference["failures"] == []
+
+
+def test_universal_map_check_d4_bitwist():
+    ext = spec_session("d4_bitwist").ext
+    rep = universal_map_check(ext, canonical_slice(ext, (0, 0), 3))
+    assert rep["passed"]
+    assert rep["phi_on_basis"] == [["1", "0"], ["0", "1"]]
+
+
+def test_scaled_class_map_fails_on_both_routes(monkeypatch, a1_n1):
+    ext = a1_n1.ext
+    P = canonical_slice(ext, (0,), 2)
+    extract = cohomology.extract_class_map
+
+    def scaled(ext, P0):
+        phi = extract(ext, P0)
+        phi.matrix = [[2 * x for x in row] for row in phi.matrix]
+        return phi
+
+    monkeypatch.setattr(cohomology, "extract_class_map", scaled)
+    new, reference = both_routes(ext, P)
+    assert not new["passed"] and not reference["passed"]
+    assert new["phi_on_basis"] == reference["phi_on_basis"] == [["2"]]
+    assert new["pairs"] == reference["pairs"]
+    # each failing unknown is one failing pair of loop basis elements
+    assert len(new["failures"]) == len(reference["failures"]) > 0
+
+
+def test_corrupted_unknown_raises_on_both_routes(a1_n1):
+    ext = a1_n1.ext
+    P = canonical_slice(ext, (0,), 2)
+    uid, _ = P.index.unknown((-1,), (1,), 0, 2)
+    bad = cohomology.WindowedCochain(P.index, [dict(P.vectors[0])])
+    bad.vectors[0][uid] = bad.vectors[0].get(uid, ext.field.zero) + 1
+    assert not is_windowed_cocycle(ext, bad)
+    assert not element_is_windowed_cocycle(ext, bad)
+    for result in both_routes(ext, bad):
+        assert isinstance(result, StructureError)
+
+
+def test_non_cocycle_raises_on_both_routes(a1_n1):
+    tw = a1_n1.twisted
+    field = tw.field
+
+    def fill(mu, nu, a, b):
+        return (field.scalar(a + b + 1),) if (mu, nu) == ((-1,), (1,)) else (field.zero,)
+
+    P = cochain_from_function(tw, (0,), 2, 1, fill)
+    for result in both_routes(a1_n1.ext, P):
+        assert isinstance(result, StructureError)
+        assert "not a windowed cocycle" in str(result)
+
+
+@pytest.mark.parametrize("z2", [2, 3])
+def test_cyclic_relation_of_the_class_map(a1_n1, z2):
+    # z_{mu,-mu} on the base pairs at lam = 0 is z_{-1,1} = 1 and z_{-2,2} = z2;
+    # the cyclic relation forces z_{-2,2} = 2 z_{-1,1}
+    ext = a1_n1.ext
+    tw = a1_n1.twisted
+    field = tw.field
+    z = {(-1,): 1, (-2,): z2}
+
+    def fill(mu, nu, a, b):
+        return (field.scalar(z.get(mu, 0)) * tw.pair(mu, a, nu, b)[1],)
+
+    P = cochain_from_function(tw, (0,), 2, 1, fill)
+    if z2 == 2:
+        assert extract_class_map(ext, P).on_basis() == [(field.one,)]
+    else:
+        with pytest.raises(StructureError, match="not well defined"):
+            extract_class_map(ext, P)
+
+
+def test_universal_map_check_needs_semisimple_g0():
+    # on a2_bitwist the fixed subalgebra is one-dimensional: the claim's
+    # hypothesis fails, and the check says so instead of reporting failed pairs
+    session = spec_session("a2_bitwist")
+    ext, tw = session.ext, session.twisted
+    assert not g0_is_semisimple(tw)
+    db = coboundary(tw, (0, 0), 2, [[1]] * tw.component_dim((0, 0)))
+    assert not db.is_zero()
+    with pytest.raises(StructureError, match="fixed subalgebra is not semisimple"):
+        universal_map_check(ext, db)
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_universal_map_check_window_below_order(d4_triality, window):
+    # below window m = 3 the only base pair at lam = 0 is (0, 0), whose class vanishes
+    ext = d4_triality.ext
+    with pytest.raises(StructureError, match="do not span the central classes"):
+        universal_map_check(ext, canonical_slice(ext, (0,), window))

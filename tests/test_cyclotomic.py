@@ -13,6 +13,12 @@ from multiloop.errors import MismatchError
 CONDUCTORS = [1, 2, 3, 4, 6, 12]
 
 
+def to_complex(x) -> complex:
+    """The embedding of Q(zeta_M) into C with zeta_M -> exp(2 pi i / M)."""
+    m = x.field.conductor
+    return sum(complex(c) * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(x.coeffs))
+
+
 def field_elements(conductor):
     field = CyclotomicField(conductor)
     coeff = st.fractions(
@@ -188,14 +194,14 @@ def test_float_embedding_homomorphism():
     for _ in range(100):
         a = field.from_coeffs([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(field.degree)])
         b = field.from_coeffs([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(field.degree)])
-        lhs = (a * b).to_complex()
-        rhs = a.to_complex() * b.to_complex()
+        lhs = to_complex(a * b)
+        rhs = to_complex(a) * to_complex(b)
         assert abs(lhs - rhs) < 1e-9
 
 
 def test_embedding_is_primitive_root():
     z = root_of_unity(12)
-    assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 12)) < 1e-12
+    assert abs(to_complex(z) - cmath.exp(2j * cmath.pi / 12)) < 1e-12
 
 
 @pytest.mark.parametrize("conductor", CONDUCTORS)

@@ -16,11 +16,12 @@ from multiloop.kaehler import (
     class_basis_at,
     differential,
     invariant_class_basis,
-    invariant_matches_base_image,
     reduce_form,
     slot_indices,
 )
 from multiloop.laurent import LaurentRing, box_degrees
+
+from tests.conftest import invariant_matches_base_image
 
 
 def ring_n1(m=1, conductor=None):

@@ -17,7 +17,7 @@ from multiloop.liealg import build_algebra, diagram_automorphism
 from multiloop.rootsystem import root_system
 from multiloop.session import MAX_CONDUCTOR, MAX_DIM, Session, SessionSpec, load_spec
 
-from tests.conftest import make_session
+from tests.conftest import make_session, matrix_records
 
 
 def test_positive_root_counts():
@@ -95,7 +95,7 @@ def test_matrix_automorphism_spec():
     field = CyclotomicField(2)
     alg = build_algebra("A", 2, field)
     sigma = diagram_automorphism(alg, [1, 0])
-    entries = sigma.matrix_records()
+    entries = matrix_records(sigma)
     session = make_session(
         "A", 2, [{"kind": "matrix", "entries": entries, "order": 2}], [2], window=1
     )
@@ -106,7 +106,7 @@ def test_matrix_spec_rejects_non_automorphism():
     field = CyclotomicField(2)
     alg = build_algebra("A", 2, field)
     sigma = diagram_automorphism(alg, [1, 0])
-    entries = [list(row) for row in sigma.matrix_records()]
+    entries = [list(row) for row in matrix_records(sigma)]
     entries[0][0] = "7"  # corrupt one entry
     with pytest.raises(SpecError):
         make_session("A", 2, [{"kind": "matrix", "entries": entries, "order": 2}], [2])
@@ -134,7 +134,7 @@ def test_non_commuting_matrix_specs_rejected():
             "A",
             2,
             [
-                {"kind": "matrix", "entries": sigma.matrix_records(), "order": 2},
+                {"kind": "matrix", "entries": matrix_records(sigma), "order": 2},
                 {"kind": "matrix", "entries": tau_entries, "order": 2},
             ],
             [2, 2],
