@@ -57,7 +57,7 @@ def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span:
         coeff = choice(choice(rows))
         if twist and rng.random() < 0.3:
             coeff = field.zeta(rng.randrange(field.conductor)) * coeff
-        # as `from_terms`: a repeated exponent adds up, and a zero sum drops it
+        # a repeated exponent adds up, and a zero sum drops it
         if exp in terms:
             coeff = terms[exp] + coeff
         if coeff:
@@ -180,6 +180,8 @@ def run_checks(session: Session, which: str = "all") -> list:
 def h2_report(session: Session, lam, window: int | None = None) -> dict:
     if window is None:
         window = session.spec.window
+    else:
+        session.spec.check_window(window)
     rep = cocycle_space_report(session.ext, lam, window)
     rep["seed"] = session.spec.seed
     return rep

@@ -122,6 +122,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec.seed = args.seed
         spec.validate()
+        if getattr(args, "generator_window", None) is not None:
+            spec.check_window(args.generator_window)
         session = Session(spec)
     except (SpecError, MismatchError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

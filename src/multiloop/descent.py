@@ -234,6 +234,7 @@ class TwistedLoopAlgebra:
         # each filled on first use, so a caller of coordinates only computes no kappa
         self._pairs = {}
         self._pair_kappas = {}
+        self._direct = {}  # residue -> `component_direct` of its degrees, built on first use
 
     # -- components -----------------------------------------------------------
 
@@ -280,6 +281,13 @@ class TwistedLoopAlgebra:
             kappa = self._pair_kappas[key] = self.algebra.killing(x, y)
         return coords, kappa
 
+    def pair_at(self, key):
+        """`pair` addressed by its key (residue, a, residue, b), residues reduced."""
+        kappa = self._pair_kappas.get(key)
+        if kappa is None:  # a residue is its own residue, so `pair` takes the key
+            return self.pair(*key)
+        return self._pairs[key], kappa
+
     def _pair_bracket(self, mu, a: int, nu, b: int):
         """The coordinates of `pair` alone, without its Killing value."""
         key = (self.residue(mu), a, self.residue(nu), b)
@@ -296,13 +304,21 @@ class TwistedLoopAlgebra:
 
     def component_direct(self, degree):
         """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the
-        eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x."""
-        negated = tuple(-a for a in degree)
-        pairs = [
-            (self.cocycle.value(g).columns, self.group.character(g, negated))
-            for g in self.group.elements()
-        ]
-        return [tuple(v) for v in _joint_eigenspace(self.algebra, pairs)]
+        eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x.  The
+        characters depend on the residue of the degree only, so the space is
+        computed once per residue."""
+        residue = self.residue(degree)
+        fixed = self._direct.get(residue)
+        if fixed is None:
+            negated = tuple(-a for a in residue)
+            pairs = [
+                (self.cocycle.value(g).columns, self.group.character(g, negated))
+                for g in self.group.elements()
+            ]
+            fixed = self._direct[residue] = [
+                tuple(v) for v in _joint_eigenspace(self.algebra, pairs)
+            ]
+        return fixed
 
     def contains(self, x: LoopElement) -> bool:
         """Membership in L_u: u_g(^g x) = x for every g, exhaustively."""

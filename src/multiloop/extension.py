@@ -10,7 +10,7 @@ algebra by the base-lattice classes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import comb
 from operator import add
 
@@ -27,6 +27,16 @@ from .kaehler import (
 from .laurent import GaloisElement, box_degrees
 
 _CENTRE_MAX_ENLARGE = 2
+
+
+def _add_scaled(target: dict, c, entries, one) -> None:
+    """target[t] += c * e for the sparse (t, e) in entries; c = 1 multiplies nothing."""
+    scale = c != one
+    for t, e in entries:
+        if scale:
+            e = c * e
+        v = target.get(t)
+        target[t] = e if v is None else v + e
 
 
 class ExtendedElement:
@@ -83,10 +93,12 @@ class CentralExtension:
         # window -> the failing pairs of its antisymmetry sums
         # (`_antisymmetry_failures`) and the failing triples of its cyclic sums
         # (`_cyclic_failures`); (g, residue, position) -> the coordinates of u_g
-        # on that basis vector (`_lift_coords`); all filled on first use
+        # on that basis vector (`_lift_coords`), and their nonzero entries
+        # (`_lift_pairs`); all filled on first use
         self._antisymmetry = {}
         self._cyclic = {}
         self._lifts = {}
+        self._lift_sparse = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -158,35 +170,19 @@ class CentralExtension:
 
     # -- verification suites ----------------------------------------------------
 
-    def _add_bracket(self, loop, mu, coords, nu, b):
-        """Add the component coordinates of [z, y_b (x) s^nu] into loop, for
-        z = sum of c x_s (x) s^mu over the (s, c) in coords, and return the
-        Killing value kappa(z, y_b)."""
-        pair = self.twisted.pair
+    def _add_bracket(self, loop, rmu, coords, rnu, b):
+        """Add the component coordinates of [z, y_b (x) s^nu] into the sparse
+        dict loop, for z = sum of c x_s (x) s^mu over the (s, c) in coords, with
+        rmu and rnu the residues of mu and nu; return the Killing value
+        kappa(z, y_b).  A coefficient c = 1 multiplies nothing."""
+        pair_at, one = self.twisted.pair_at, self.field.one
         w = self.field.zero
         for s, c in coords:
-            inner, kappa = pair(mu, s, nu, b)
-            for t, e in inner:
-                loop[t] = loop[t] + c * e
+            inner, kappa = pair_at((rmu, s, rnu, b))
+            _add_scaled(loop, c, inner, one)
             if kappa:
-                w = w + c * kappa
+                w = w + (kappa if c == one else c * kappa)
         return w
-
-    def _pair_sum(self, *terms):
-        """The sum of [x_a (x) s^mu, y_b (x) s^nu] over the (mu, a, nu, b) in terms,
-        all with one degree mu + nu: its component coordinates and its class."""
-        one, zero = self.field.one, self.field.zero
-        mu, _, nu, _ = terms[0]
-        degree = tuple(p + q for p, q in zip(mu, nu))
-        loop = [zero] * self.twisted.component_dim(degree)
-        raw = [zero] * self.ring.n
-        for mu, a, nu, b in terms:
-            w = self._add_bracket(loop, mu, ((a, one),), nu, b)
-            if w:
-                for i, e in enumerate(nu):
-                    if e:
-                        raw[i] = raw[i] + w * e
-        return loop, CentralClass(self.ring, {degree: raw})
 
     def _cyclic_entry(self, x, y, z):
         """The cyclic sum [[x, y], z] + [[y, z], x] + [[z, x], y] of the component
@@ -195,13 +191,29 @@ class CentralExtension:
         kappa([z,x],y).  Both depend on the residues only, so one entry
         serves every triple of degrees with those residues."""
         tw = self.twisted
-        total = tuple(p + q + r for p, q, r in zip(x[0], y[0], z[0]))
-        loop = [self.field.zero] * tw.component_dim(total)
-        weights = []
+        loop, weights = {}, []
         for (rp, ap), (rq, aq), (rr, ar) in ((x, y, z), (y, z, x), (z, x, y)):
-            coords = tw._pair_bracket(rp, ap, rq, aq)
-            weights.append(self._add_bracket(loop, tuple(map(add, rp, rq)), coords, rr, ar))
-        return any(loop), weights
+            coords = tw.pair_at((rp, ap, rq, aq))[0]
+            rpq = tw.residue(tuple(map(add, rp, rq)))
+            weights.append(self._add_bracket(loop, rpq, coords, rr, ar))
+        return any(loop.values()), weights
+
+    def _key_members(self, basis):
+        """(residue, position) -> the ascending indices of its window basis vectors."""
+        residue = self.twisted.residue
+        members = {}
+        for i, (degree, pos, _) in enumerate(basis):
+            members.setdefault((residue(degree), pos), []).append(i)
+        return list(members.items())
+
+    def _degree_fact(self, radius: int) -> bool:
+        """Whether the raw class vector gamma reduces to 0 at degree gamma on
+        every degree of the box |gamma| <= radius."""
+        ring, scalar = self.ring, self.field.scalar
+        return all(
+            CentralClass(ring, {gamma: [scalar(a) for a in gamma]}).is_zero()
+            for gamma in box_degrees(ring.n, radius)
+        )
 
     def _cyclic_failures(self, window: int):
         """The triples i < j < k of the window basis whose cyclic sum
@@ -220,17 +232,11 @@ class CentralExtension:
         """
         if window in self._cyclic:
             return self._cyclic[window]
-        tw, ring, field = self.twisted, self.ring, self.field
-        basis = tw.window_basis(window)
-        members = {}  # (residue, position) -> ascending basis indices
-        for i, (degree, pos, _) in enumerate(basis):
-            members.setdefault((tw.residue(degree), pos), []).append(i)
-        degree_fact = all(
-            CentralClass(ring, {gamma: [field.scalar(a) for a in gamma]}).is_zero()
-            for gamma in box_degrees(ring.n, 3 * window)
-        )
+        ring = self.ring
+        basis = self.twisted.window_basis(window)
+        groups = self._key_members(basis)
+        degree_fact = self._degree_fact(3 * window)
         out = []
-        groups = list(members.items())
         for kx, xs in groups:
             for ky, ys in groups:
                 at = bisect_right(ys, xs[0])
@@ -260,18 +266,44 @@ class CentralExtension:
     def _antisymmetry_failures(self, window: int):
         """The pairs i <= j of the loop window basis whose sum
         [b_i, b_j] + [b_j, b_i] is not zero, as (i, j, loop part nonzero, class
-        nonzero) in (i, j) order; memoised per window for the two suites."""
+        nonzero) in (i, j) order.
+
+        The loop part depends on the (residue, position) keys of b_i and b_j
+        only.  With degrees mu, nu the raw class vector is
+        kappa_ab nu + kappa_ba mu; when kappa_ab = kappa_ba = k it is
+        k (mu + nu), which reduces to 0 at mu + nu (checked here on every degree
+        of the summed box).  So each key pair is read once, and only a key pair
+        with a nonzero loop part or unequal Killing values is expanded into its
+        basis pairs, their classes reduced one by one.  Memoised per window for
+        the two suites."""
         if window in self._antisymmetry:
             return self._antisymmetry[window]
-        basis = self.twisted.window_basis(window)
+        tw, ring, one = self.twisted, self.ring, self.field.one
+        basis = tw.window_basis(window)
+        groups = self._key_members(basis)
+        degree_fact = self._degree_fact(2 * window)
         out = []
-        for i, (mu, a, _) in enumerate(basis):
-            for j in range(i, len(basis)):
-                nu, b, _ = basis[j]
-                loop, central = self._pair_sum((mu, a, nu, b), (nu, b, mu, a))
-                loop, central = any(loop), bool(central)
-                if loop or central:
-                    out.append((i, j, loop, central))
+        for kx, xs in groups:
+            for ky, ys in groups:
+                if ys[-1] < xs[0]:
+                    continue  # no i <= j with these keys
+                coords_ab, k_ab = tw.pair_at(kx + ky)
+                coords_ba, k_ba = tw.pair_at(ky + kx)
+                total = {}
+                _add_scaled(total, one, coords_ab + coords_ba, one)
+                loop = any(total.values())
+                if not loop and k_ab == k_ba and (degree_fact or not k_ab):
+                    continue
+                for i in xs:
+                    mu = basis[i][0]
+                    for j in ys[bisect_left(ys, i):]:
+                        nu = basis[j][0]
+                        raw = [k_ab * n + k_ba * m for m, n in zip(mu, nu)]
+                        gamma = tuple(map(add, mu, nu))
+                        central = not CentralClass(ring, {gamma: raw}).is_zero()
+                        if loop or central:
+                            out.append((i, j, loop, central))
+        out.sort()
         self._antisymmetry[window] = out
         return out
 
@@ -372,12 +404,21 @@ class CentralExtension:
             "expected": sum(v["expected"] for v in per_degree.values()),
         }
 
-    def _pair_coords(self, mu, a: int, nu, b: int):
-        """Coordinates of [x_a (x) s^mu, y_b (x) s^nu] in the extension at mu + nu:
-        the component coordinates, then the `central_slots` of the class."""
-        degree = tuple(p + q for p, q in zip(mu, nu))
-        out, cls = self._pair_sum((mu, a, nu, b))
+    def _pair_coords(self, mu, nu, key):
+        """Coordinates of [x_a (x) s^mu, y_b (x) s^nu] in the extension at mu + nu,
+        for key = (residue of mu, a, residue of nu, b): the component
+        coordinates, then the `central_slots` of the class."""
+        tw, zero = self.twisted, self.field.zero
+        degree = tuple(map(add, mu, nu))
+        coords, kappa = tw.pair_at(key)
+        out = [zero] * tw.component_dim(degree)
+        for r, c in coords:
+            out[r] = c
         slots = central_slots(self.ring, degree)
+        if not kappa:
+            out.extend(zero for _ in slots)
+            return out
+        cls = CentralClass(self.ring, {degree: [kappa * e if e else zero for e in nu]})
         if slots:
             vec = cls.component(degree)
             out.extend(vec[i] for i in slots)
@@ -391,9 +432,18 @@ class CentralExtension:
         dim = self.twisted.component_dim(degree)
         if not dim:
             return 0
-        gens = self.twisted.window_basis(generator_window)
+        residue = self.twisted.residue
+        rdeg = residue(degree)
+        gens = [
+            (gdeg, residue(gdeg), gpos)
+            for gdeg, gpos, _ in self.twisted.window_basis(generator_window)
+        ]
         images = [
-            [x for gdeg, gpos, _ in gens for x in self._pair_coords(degree, a, gdeg, gpos)]
+            [
+                x
+                for gdeg, rg, gpos in gens
+                for x in self._pair_coords(degree, gdeg, (rdeg, a, rg, gpos))
+            ]
             for a in range(dim)
         ]
         return dim - linalg.SpanSolver(self.field, images).dim
@@ -421,9 +471,10 @@ class CentralExtension:
             pairs = []
             vectors = []
             for adeg, bdeg, adim, bdim in tw.pair_blocks(degree, big):
+                ra, rb = tw.residue(adeg), tw.residue(bdeg)
                 for apos in range(adim):
                     for bpos in range(apos if bdeg == adeg else 0, bdim):
-                        vec = self._pair_coords(adeg, apos, bdeg, bpos)
+                        vec = self._pair_coords(adeg, bdeg, (ra, apos, rb, bpos))
                         if not any(vec):
                             continue
                         pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
@@ -486,16 +537,21 @@ class CentralExtension:
                         }
                     )
         dim_checks = {}
+        loop_spaces = {}  # residue -> (dim fixed, dim component, whether they agree)
         for degree in box_degrees(self.ring.n, window):
-            fixed = tw.component_direct(degree)
-            comp = tw.component_gbasis(degree)
-            span = linalg.SpanSolver(self.field, comp)
-            same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
+            res = tw.residue(degree)
+            if res not in loop_spaces:
+                fixed = tw.component_direct(degree)
+                comp = tw.component_gbasis(degree)
+                span = linalg.SpanSolver(self.field, comp)
+                same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
+                loop_spaces[res] = len(fixed), len(comp), same
+            loop_fixed, loop_component, same = loop_spaces[res]
             central_expected = len(central_slots(self.ring, degree))
             central_fixed = self._fixed_central_dim(degree)
             dim_checks[str(list(degree))] = {
-                "loop_fixed": len(fixed),
-                "loop_component": len(comp),
+                "loop_fixed": loop_fixed,
+                "loop_component": loop_component,
                 "central_fixed": central_fixed,
                 "central_expected": central_expected,
             }
@@ -551,43 +607,55 @@ class CentralExtension:
             self._lifts[key] = tw.component_coords(residue, tw.cocycle.value(g).apply(x))
         return self._lifts[key]
 
+    def _lift_pairs(self, g, residue, pos):
+        """The nonzero (q, e) of `_lift_coords`, or None; memoised."""
+        key = (g.components, residue, pos)
+        if key not in self._lift_sparse:
+            coords = self._lift_coords(g, residue, pos)
+            self._lift_sparse[key] = (
+                None if coords is None else tuple((q, e) for q, e in enumerate(coords) if e)
+            )
+        return self._lift_sparse[key]
+
     def _equivariance_sides(self, g, key):
         """Compare u_g ^g [X, Y] with [u_g ^g X, u_g ^g Y] for X = x_a (x) s^mu and
         Y = y_b (x) s^nu, key = (residue of mu, a, residue of nu, b), in
         component coordinates.  With L the coordinates of u_g on a component
-        (`_lift_coords`) and chi the character of g, the loop parts are
+        (`_lift_pairs`) and chi the character of g, the loop parts are
         chi(mu+nu) L [x_a, y_b] and chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t];
         each class is its Killing part (the same sums over kappa) times
-        class(s^mu ds^nu).  Returns (loop parts equal, Killing parts equal), or
-        None when an image or a bracket has no component coordinates."""
+        class(s^mu ds^nu).  Both sides are summed over nonzero entries only.
+        Returns (loop parts equal, Killing parts equal), or None when an image
+        or a bracket has no component coordinates."""
         rmu, a, rnu, b = key
-        tw, zero = self.twisted, self.field.zero
-        total = tuple(map(add, rmu, rnu))
-        ua, ub = self._lift_coords(g, rmu, a), self._lift_coords(g, rnu, b)
+        tw, one = self.twisted, self.field.one
+        total = tw.residue(tuple(map(add, rmu, rnu)))
+        ua, ub = self._lift_pairs(g, rmu, a), self._lift_pairs(g, rnu, b)
         if ua is None or ub is None:
             return None
         try:
-            coords, kappa = tw.pair(rmu, a, rnu, b)
-            lhs = [zero] * tw.component_dim(total)
+            coords, kappa = tw.pair_at(key)
+            lhs = {}
             for r, c in coords:
-                column = self._lift_coords(g, tw.residue(total), r)
+                column = self._lift_pairs(g, total, r)
                 if column is None:
                     return None
-                for q, e in enumerate(column):
-                    if e:
-                        lhs[q] = lhs[q] + c * e
-            rhs = [zero] * len(lhs)
-            k_rhs = zero
-            xs = [(s, x) for s, x in enumerate(ua) if x]
-            for t, y in enumerate(ub):
-                if y:
-                    scaled = [(s, x * y) for s, x in xs]
-                    k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
+                _add_scaled(lhs, c, column, one)
+            rhs = {}
+            k_rhs = self.field.zero
+            for t, y in ub:
+                scaled = ua if y == one else [(s, x * y) for s, x in ua]
+                k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
         except StructureError:
             return None  # a bracket leaves the descended algebra
         chi = self.group.character(g, total)
         chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
-        return [chi * e for e in lhs] == [chi2 * e for e in rhs], chi * kappa == chi2 * k_rhs
+        if chi != chi2:  # equal characters are one nonzero factor of both sides
+            lhs = {q: chi * e for q, e in lhs.items()}
+            rhs = {q: chi2 * e for q, e in rhs.items()}
+            kappa, k_rhs = chi * kappa, chi2 * k_rhs
+        loop_equal = {q: e for q, e in lhs.items() if e} == {q: e for q, e in rhs.items() if e}
+        return loop_equal, kappa == k_rhs
 
     def _fixed_central_dim(self, degree) -> int:
         degree = tuple(degree)

@@ -35,9 +35,6 @@ class GaloisGroup:
                 )
         self.n = len(self.orders)
 
-    def element(self, components) -> "GaloisElement":
-        return GaloisElement(self, components)
-
     @property
     def identity(self) -> "GaloisElement":
         return GaloisElement(self, (0,) * self.n)
@@ -140,19 +137,6 @@ class LaurentRing:
     def scalar_poly(self, value) -> "LaurentPoly":
         c = self.field.scalar(value)
         return LaurentPoly(self, {(0,) * self.n: c} if c else {})
-
-    def from_terms(self, terms) -> "LaurentPoly":
-        out = {}
-        for exp, coeff in terms:
-            exp = tuple(int(e) for e in exp)
-            c = self.field.scalar(coeff)
-            if exp in out:
-                c = out[exp] + c
-            if c:
-                out[exp] = c
-            elif exp in out:
-                del out[exp]
-        return LaurentPoly(self, out)
 
     def in_base_lattice(self, exp) -> bool:
         return all(e % m == 0 for e, m in zip(exp, self.orders))

@@ -465,9 +465,6 @@ class LieAutomorphism:
     def __hash__(self):
         return hash(self.columns)
 
-    def eigenspace(self, eigenvalue):
-        return _joint_eigenspace(self.algebra, [(self.columns, eigenvalue)])
-
 
 def _joint_eigenspace(algebra, pairs):
     """Basis of {x : M x = lam x for every (columns of M, lam) in pairs}: the

@@ -27,6 +27,12 @@ VALID_FAMILIES = "ABCDEFG"
 MAX_CONDUCTOR = 60
 # the largest dim g a spec may declare, that of E8: set-up grows steeply with it
 MAX_DIM = 248
+# the largest window basis a spec may ask for, dim g times the (2w + 1)^n
+# degrees of the box |degree| <= w, at w = window + margin (the perfectness
+# factors) or at a generator window: the suites and the H2 assembly walk pairs
+# and triples of it, so a window of 10**9 or a thousand loop variables never
+# finishes.  2**15 admits A2 in two variables at window 24, 8 * 51**2 = 20,808.
+MAX_WINDOW_BASIS = 2**15
 
 
 def _integer(value) -> int:
@@ -77,10 +83,9 @@ class SessionSpec:
             raise SpecError(f"unknown family {self.family!r}: expected one letter A-G")
         if self.rank < 1:
             raise SpecError(f"rank must be positive, got {self.rank}")
-        if self.family in "ABCD":  # the build refuses an E, F or G of another rank
-            dim = 2 * POSITIVE_ROOT_COUNTS[self.family](self.rank) + self.rank
-            if dim > MAX_DIM:
-                raise SpecError(f"{self.family}{self.rank} has dim {dim}, over MAX_DIM = {MAX_DIM}")
+        dim = self._dim()
+        if self.family in "ABCD" and dim > MAX_DIM:
+            raise SpecError(f"{self.family}{self.rank} has dim {dim}, over MAX_DIM = {MAX_DIM}")
         if len(self.autos) != len(self.orders):
             raise SpecError(
                 f"{len(self.autos)} automorphisms declared for {len(self.orders)} orders"
@@ -99,6 +104,7 @@ class SessionSpec:
             raise SpecError(f"window must be >= 1, got {self.window}")
         if self.margin < 0:
             raise SpecError(f"margin must be >= 0, got {self.margin}")
+        self.check_window(self.window + self.margin)
         for a in self.autos:
             if not isinstance(a, dict):
                 raise SpecError(f"automorphism spec must be an object, got {a!r}")
@@ -117,6 +123,30 @@ class SessionSpec:
                     raise SpecError(f"matrix order {order} is over MAX_CONDUCTOR = {MAX_CONDUCTOR}")
             elif kind != "identity":
                 raise SpecError(f"unknown automorphism kind {kind!r}")
+
+    def _dim(self):
+        """dim g = 2 |positive roots| + rank, or None for an E of a rank the
+        build refuses (it also refuses an F or a G of another rank)."""
+        try:
+            return 2 * POSITIVE_ROOT_COUNTS[self.family](self.rank) + self.rank
+        except KeyError:
+            return None
+
+    def check_window(self, window: int):
+        """Refuse a window whose basis, dim g times (2 window + 1)^n at most, is
+        over MAX_WINDOW_BASIS, before anything is built."""
+        size = self._dim()
+        if size is None:
+            return
+        for _ in self.orders:  # stops at the first factor over the limit
+            size *= 2 * window + 1
+            if size > MAX_WINDOW_BASIS:
+                n = len(self.orders)
+                raise SpecError(
+                    f"the box |degree| <= {window} of {self.family}{self.rank} with n = {n} "
+                    f"has up to dim g * {2 * window + 1}^{n} basis vectors, "
+                    f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"
+                )
 
     def to_dict(self) -> dict:
         return {

@@ -1,13 +1,29 @@
 import pytest
 
 from multiloop.kaehler import invariant_matches_base_image_at
-from multiloop.laurent import box_degrees
+from multiloop.laurent import LaurentPoly, box_degrees
 from multiloop.session import Session, SessionSpec
 
 
 def in_base_ring(p) -> bool:
     """Every exponent of the Laurent polynomial p lies in the base lattice."""
     return all(p.ring.in_base_lattice(e) for e in p.terms)
+
+
+def from_terms(ring, terms) -> LaurentPoly:
+    """The Laurent polynomial sum of c s^exp over the (exp, c) in terms: a
+    repeated exponent adds up, and a zero sum drops it."""
+    out = {}
+    for exp, coeff in terms:
+        exp = tuple(int(e) for e in exp)
+        c = ring.field.scalar(coeff)
+        if exp in out:
+            c = out[exp] + c
+        if c:
+            out[exp] = c
+        elif exp in out:
+            del out[exp]
+    return LaurentPoly(ring, out)
 
 
 def invariant_matches_base_image(ring, window: int) -> bool:

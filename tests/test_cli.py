@@ -223,6 +223,26 @@ def test_rank_over_the_dimension_limit_exits_2_at_once(tmp_path, capsys):
     assert f"MAX_DIM = {MAX_DIM}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "jacobi", "--window", str(10**9)],
+        ["check", "perfect", "--margin", str(10**9)],
+        ["h2", "--lambda", "0", "--window", str(10**9)],
+        ["centre", "--generator-window", str(10**9)],
+    ],
+)
+def test_window_over_the_basis_limit_exits_2_at_once(capsys, argv):
+    from multiloop.session import MAX_WINDOW_BASIS
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--spec", str(SPECS / "a1_untwisted_n1.json"))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out
+    assert err.startswith("error:") and f"MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}" in err
+    assert "Traceback" not in err
+
+
 def test_matrix_order_over_the_limit_exits_2_at_once(tmp_path, capsys):
     # exp(ad e) on A1 preserves the bracket and has infinite order: the order
     # check would make one composition per unit of the declared order, so the

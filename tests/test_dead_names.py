@@ -20,9 +20,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "universal_map_check": "the entry point of the universality check, acceptance C12",
     "g_a_subspace": "goes together with linalg.intersect, which bench/tracer.py still names",
-    "element": "GaloisGroup.element, the constructor of a group element from its components",
-    "from_terms": "LaurentRing.from_terms, the constructor of a polynomial from its terms",
-    "eigenspace": "LieAutomorphism.eigenspace, the one-map case of simultaneous_eigenspaces",
 }
 
 

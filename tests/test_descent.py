@@ -217,6 +217,7 @@ def test_pair_table_matches_the_element_path(request, name, window):
             assert set(xy.terms) <= {degree}
             expected = tw.component_coords(degree, xy.component(degree))
             coords, kappa = tw.pair(mu, a, nu, b)
+            assert tw.pair_at((tw.residue(mu), a, tw.residue(nu), b)) == (coords, kappa)
             assert list(coords) == [(r, c) for r, c in enumerate(expected) if c]
             assert kappa == alg.killing(list(x.component(mu)), list(y.component(nu)))
     dims = [len(v) for v in tw.eigen.components.values()]

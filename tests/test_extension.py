@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from multiloop import linalg
-from multiloop.errors import MismatchError
+from multiloop import descent, linalg
+from multiloop.errors import MismatchError, StructureError
 from multiloop.kaehler import (
     CentralClass,
     central_slots,
@@ -276,14 +276,14 @@ def reference_structural_reports(ext, window):
     for i, (mu, a, _) in enumerate(loop_basis):
         for j in range(i, nl):
             nu, b, _ = loop_basis[j]
-            loop, central = ext._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+            loop, central = reference_pair_sum(ext, (mu, a, nu, b), (nu, b, mu, a))
             if not central.is_zero():
                 cocycle.append({"kind": "antisymmetry", "pair": [i, j]})
     for i, x in enumerate(basis):
         for j in range(i, len(basis)):
             if j < nl:
                 (mu, a, _), (nu, b, _) = loop_basis[i], loop_basis[j]
-                loop, central = ext._pair_sum((mu, a, nu, b), (nu, b, mu, a))
+                loop, central = reference_pair_sum(ext, (mu, a, nu, b), (nu, b, mu, a))
                 broken = any(loop) or not central.is_zero()
             else:
                 y = basis[j]
@@ -311,6 +311,94 @@ def reference_structural_reports(ext, window):
     )
 
 
+def reference_add_bracket(ext, loop, mu, coords, nu, b):
+    """Add the component coordinates of [z, y_b (x) s^nu] into the dense list
+    loop, for z = sum of c x_s (x) s^mu over the (s, c) in coords, and return
+    kappa(z, y_b): every entry multiplied, residues looked up per pair."""
+    w = ext.field.zero
+    for s, c in coords:
+        inner, kappa = ext.twisted.pair(mu, s, nu, b)
+        for t, e in inner:
+            loop[t] = loop[t] + c * e
+        if kappa:
+            w = w + c * kappa
+    return w
+
+
+def reference_pair_sum(ext, *terms):
+    """The sum of [x_a (x) s^mu, y_b (x) s^nu] over the (mu, a, nu, b) in terms,
+    all with one degree mu + nu: its dense component coordinates and its class."""
+    one, zero = ext.field.one, ext.field.zero
+    mu, _, nu, _ = terms[0]
+    degree = tuple(p + q for p, q in zip(mu, nu))
+    loop = [zero] * ext.twisted.component_dim(degree)
+    raw = [zero] * ext.ring.n
+    for mu, a, nu, b in terms:
+        w = reference_add_bracket(ext, loop, mu, ((a, one),), nu, b)
+        if w:
+            for i, e in enumerate(nu):
+                if e:
+                    raw[i] = raw[i] + w * e
+    return loop, CentralClass(ext.ring, {degree: raw})
+
+
+def reference_antisymmetry_failures(ext, window):
+    """The per-pair `_antisymmetry_failures`: one pair sum per pair i <= j."""
+    basis = ext.twisted.window_basis(window)
+    out = []
+    for i, (mu, a, _) in enumerate(basis):
+        for j in range(i, len(basis)):
+            nu, b, _ = basis[j]
+            loop, central = reference_pair_sum(ext, (mu, a, nu, b), (nu, b, mu, a))
+            loop, central = any(loop), bool(central)
+            if loop or central:
+                out.append((i, j, loop, central))
+    return out
+
+
+def reference_equivariance_sides(ext, g, key):
+    """The dense `_equivariance_sides`: both sides as lists of component
+    length, every entry multiplied by its character."""
+    rmu, a, rnu, b = key
+    tw, zero = ext.twisted, ext.field.zero
+    total = tuple(x + y for x, y in zip(rmu, rnu))
+    ua, ub = ext._lift_coords(g, rmu, a), ext._lift_coords(g, rnu, b)
+    if ua is None or ub is None:
+        return None
+    try:
+        coords, kappa = tw.pair(rmu, a, rnu, b)
+        lhs = [zero] * tw.component_dim(total)
+        for r, c in coords:
+            column = ext._lift_coords(g, tw.residue(total), r)
+            if column is None:
+                return None
+            for q, e in enumerate(column):
+                if e:
+                    lhs[q] = lhs[q] + c * e
+        rhs = [zero] * len(lhs)
+        k_rhs = zero
+        xs = [(s, x) for s, x in enumerate(ua) if x]
+        for t, y in enumerate(ub):
+            if y:
+                scaled = [(s, x * y) for s, x in xs]
+                k_rhs = k_rhs + reference_add_bracket(ext, rhs, rmu, scaled, rnu, t)
+    except StructureError:
+        return None
+    chi = ext.group.character(g, total)
+    chi2 = ext.group.character(g, rmu) * ext.group.character(g, rnu)
+    return [chi * e for e in lhs] == [chi2 * e for e in rhs], chi * kappa == chi2 * k_rhs
+
+
+def reference_component_direct(tw, degree):
+    """The fixed space of x -> chi_degree(g) u_g x, computed for this degree."""
+    negated = tuple(-a for a in degree)
+    pairs = [
+        (tw.cocycle.value(g).columns, tw.group.character(g, negated))
+        for g in tw.group.elements()
+    ]
+    return [tuple(v) for v in descent._joint_eigenspace(tw.algebra, pairs)]
+
+
 def reference_decomposition(ext, window):
     tw, failures = ext.twisted, []
     elems = ext.group.elements()
@@ -324,7 +412,7 @@ def reference_decomposition(ext, window):
                     )
     dim_checks = {}
     for degree in box_degrees(ext.ring.n, window):
-        fixed = tw.component_direct(degree)
+        fixed = reference_component_direct(tw, degree)
         comp = tw.component_gbasis(degree)
         span = linalg.SpanSolver(ext.field, comp)
         same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
@@ -506,35 +594,162 @@ def test_sandr_decides_each_key_once_and_matches_the_per_pair_reference(spec, mo
 
 
 @pytest.mark.parametrize(
-    "spec, window, max_brackets", [("a1_untwisted_n2", 3, 18), ("d4_bitwist", None, None)]
+    "spec, window, max_brackets, max_decomposition_muls",
+    [
+        ("a1_untwisted_n2", 3, 18, None),
+        ("d4_bitwist", None, None, None),
+        ("d4_triality", 1, None, 7745),
+    ],
 )
 def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
-    spec, window, max_brackets, monkeypatch
+    spec, window, max_brackets, max_decomposition_muls, monkeypatch
 ):
     # at most one g-bracket per pair-table key and one per sandr key; the
-    # lifted action is left for loop pairs whose sides have no coordinates
+    # lifted action is left for loop pairs whose sides have no coordinates;
+    # one Killing value per pair-table key and one fixed space per residue
     from multiloop.checks import CHECK_NAMES, run_checks
+    from multiloop.cyclotomic import CyclotomicNumber
     from multiloop.extension import CentralExtension
     from multiloop.liealg import SplitSimpleLieAlgebra
 
     session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
     if window:
         session.spec.window = window
-    calls = {"bracket": 0, "lifted_action": 0}
+    calls = {"bracket": 0, "lifted_action": 0, "killing": 0, "_joint_eigenspace": 0, "__mul__": 0}
 
-    def counted(cls, name):
-        original = getattr(cls, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(cls, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(SplitSimpleLieAlgebra, "bracket")
+    counted(SplitSimpleLieAlgebra, "killing")
     counted(CentralExtension, "lifted_action")
-    reports = [run_checks(session, name)[0] for name in CHECK_NAMES if name != "zrel"]
+    counted(descent, "_joint_eigenspace")
+    counted(CyclotomicNumber, "__mul__")
+    reports, decomposition_muls = [], None
+    for name in CHECK_NAMES:
+        if name != "zrel":
+            before = calls["__mul__"]
+            reports.append(run_checks(session, name)[0])
+            if name == "decomposition":
+                decomposition_muls = calls["__mul__"] - before
     assert len(reports) == 6 and all(rep["passed"] for rep in reports)
     assert calls["lifted_action"] == 0
     if max_brackets is not None:
         assert calls["bracket"] <= max_brackets
+    tw = session.twisted
+    assert calls["killing"] == len(tw._pair_kappas) > 0
+    residues = {tw.residue(d) for d in box_degrees(session.ring.n, session.spec.window)}
+    assert calls["_joint_eigenspace"] == len(residues)
+    if max_decomposition_muls is not None:
+        assert decomposition_muls <= max_decomposition_muls
+
+
+# -- the per-key antisymmetry and the sparse equivariance sides ------------------
+
+
+def non_identity(ext):
+    return [g for g in ext.group.elements() if any(g.components)]
+
+
+def window_keys(tw, window):
+    keys = sorted({(tw.residue(d), pos) for d, pos, _ in tw.window_basis(window)})
+    return [kx + ky for kx in keys for ky in keys]
+
+
+def assert_routes_match_references(ext, window, monkeypatch):
+    """The per-key antisymmetry, the sparse equivariance sides and the fixed
+    spaces per residue equal their per-pair, dense and per-degree references."""
+    assert ext._antisymmetry_failures(window) == reference_antisymmetry_failures(ext, window)
+    tw = ext.twisted
+    for g in non_identity(ext):
+        for key in window_keys(tw, window):
+            assert ext._equivariance_sides(g, key) == reference_equivariance_sides(ext, g, key)
+    decomposition = ext.decomposition(window)
+    with monkeypatch.context() as patch:  # the dense sides in place of the sparse ones
+        patch.setattr(
+            ext, "_equivariance_sides", lambda g, key: reference_equivariance_sides(ext, g, key)
+        )
+        assert ext.decomposition(window) == decomposition
+    for degree in box_degrees(ext.ring.n, window):
+        assert tw.component_direct(degree) == reference_component_direct(tw, degree)
+    return ext.cocycle_checks(window), decomposition
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        (spec, window)
+        for spec in sorted(path.stem for path in SPECS_DIR.glob("*.json"))
+        for window in (1, 2, 3)
+        if spec != "d4_bitwist" or window == 2
+    ],
+)
+def test_per_key_and_sparse_routes_match_the_dense_references(spec, window, monkeypatch):
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    cocycle, decomposition = assert_routes_match_references(session.ext, window, monkeypatch)
+    assert cocycle["passed"] and decomposition["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_lift_entry_gives_the_same_equivariance_failures(seed, monkeypatch):
+    session = make_session("D", 4, [{"kind": "diagram", "perm": [2, 1, 3, 0]}], [3], window=1)
+    ext, tw = session.ext, session.twisted
+    rng = random.Random(seed)
+    g = rng.choice(non_identity(ext))
+    keys = sorted({(tw.residue(d), pos) for d, pos, _ in tw.window_basis(1)})
+    residue, pos = rng.choice(keys)
+    coords = list(ext._lift_coords(g, residue, pos))
+    q = rng.choice([q for q, e in enumerate(coords) if e])
+    coords[q] = coords[q] * 2
+    ext._lifts[(g.components, residue, pos)] = coords
+    _, decomposition = assert_routes_match_references(ext, 1, monkeypatch)
+    kinds = {f["kind"] for f in decomposition["failures"]}
+    assert kinds == {"bracket-equivariance"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_asymmetric_killing_entry_gives_the_same_antisymmetry_failures(seed, monkeypatch):
+    # kappa_ab != kappa_ba leaves (kappa_ab - kappa_ba) nu at degree mu + nu = 0:
+    # a nonzero class, so the key pair must be expanded into its basis pairs
+    session = make_session("D", 4, [{"kind": "diagram", "perm": [2, 1, 3, 0]}], [3], window=1)
+    ext, tw = session.ext, session.twisted
+    keys = window_keys(tw, 1)
+    for key in keys:
+        tw.pair_at(key)
+    opposite = [
+        key for key in keys
+        if key[0] != (0,) and tw.residue((key[0][0] + key[2][0],)) == (0,)
+    ]
+    key = random.Random(seed).choice(opposite)
+    tw._pair_kappas[key] = tw._pair_kappas[key] + 1
+    cocycle, jacobi, _ = assert_structural_reports_match_references(ext, 1)
+    assert assert_routes_match_references(ext, 1, monkeypatch)[0] == cocycle
+    assert "antisymmetry" in {f["kind"] for f in cocycle["failures"]}
+    assert not jacobi["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wrong_fixed_space_of_one_residue_fails_at_each_of_its_degrees(seed, monkeypatch):
+    session = make_session("A", 2, [{"kind": "diagram", "perm": [1, 0]}], [2], window=2)
+    ext, tw = session.ext, session.twisted
+    residue = random.Random(seed).choice(sorted(tw.eigen.components))
+    negated = tuple(-a for a in residue)
+    characters = [tw.group.character(g, negated) for g in tw.group.elements()]
+    honest = descent._joint_eigenspace
+
+    def drop_one_vector(algebra, pairs):
+        space = honest(algebra, pairs)
+        return space[:-1] if [chi for _, chi in pairs] == characters else space
+
+    monkeypatch.setattr(descent, "_joint_eigenspace", drop_one_vector)
+    rep = ext.decomposition(2)
+    assert rep == reference_decomposition(ext, 2)
+    failing = [f["degree"] for f in rep["failures"]]
+    assert {f["kind"] for f in rep["failures"]} == {"fixed-space"}
+    assert failing == [list(d) for d in box_degrees(1, 2) if tw.residue(d) == residue]

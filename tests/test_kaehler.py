@@ -21,7 +21,7 @@ from multiloop.kaehler import (
 )
 from multiloop.laurent import LaurentRing, box_degrees
 
-from tests.conftest import invariant_matches_base_image
+from tests.conftest import from_terms, invariant_matches_base_image
 
 
 def ring_n1(m=1, conductor=None):
@@ -37,7 +37,7 @@ def random_polys(ring, max_terms=3, span=3):
     term = st.tuples(
         st.tuples(*(st.integers(-span, span) for _ in range(ring.n))), coeff
     )
-    return st.lists(term, min_size=0, max_size=max_terms).map(ring.from_terms)
+    return st.lists(term, min_size=0, max_size=max_terms).map(lambda terms: from_terms(ring, terms))
 
 
 def test_differential_examples():
@@ -137,7 +137,7 @@ def test_reduce_is_galois_equivariant(data):
                 max_size=2,
             )
         )
-        comps.append(ring.from_terms(terms))
+        comps.append(from_terms(ring, terms))
     form = DifferentialForm(ring, tuple(comps))
     for g in ring.group.elements():
         assert reduce_form(form.galois(g)) == reduce_form(form).galois(g)

@@ -15,7 +15,14 @@ from multiloop.cyclotomic import CyclotomicField
 from multiloop.errors import SpecError
 from multiloop.liealg import build_algebra, diagram_automorphism
 from multiloop.rootsystem import root_system
-from multiloop.session import MAX_CONDUCTOR, MAX_DIM, Session, SessionSpec, load_spec
+from multiloop.session import (
+    MAX_CONDUCTOR,
+    MAX_DIM,
+    MAX_WINDOW_BASIS,
+    Session,
+    SessionSpec,
+    load_spec,
+)
 
 from tests.conftest import make_session, matrix_records
 
@@ -216,6 +223,45 @@ def test_dimension_at_most_the_limit_passes_validate(family, rank):
     spec = SessionSpec.from_dict(_identity_spec(family, rank))
     assert (spec.family, spec.rank) == (family, rank)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"window": 10**9},
+        {"margin": 10**9},
+        {"autos": [{"kind": "identity"}] * 1000, "orders": [1] * 1000},
+        {"algebra": {"family": "E", "rank": 8}, "window": 100},
+    ],
+)
+def test_window_box_over_the_limit_is_refused(change):
+    # refused in validate, before any field or algebra is built: the suites
+    # walk pairs and triples of the (2w + 1)^n degrees of the box
+    data = {**_identity_spec("A", 1), **change}
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match=f"MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"):
+        SessionSpec.from_dict(data)
+    assert time.perf_counter() - start < 0.5
+
+
+SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize(
+    "spec, window, margin",
+    [
+        ("a2_bitwist", 24, 1),
+        ("a1_untwisted_n2", 24, 1),
+        ("d4_bitwist", 8, 1),
+        ("d4_triality", 2, 1),
+    ],
+)
+def test_window_box_admits_the_measured_windows(spec, window, margin):
+    # the largest windows the verification tables and the H2 targets use
+    data = json.loads((SPECS_DIR / f"{spec}.json").read_text())
+    spec = SessionSpec.from_dict({**data, "window": window, "margin": margin})
+    assert spec.window == window
+    spec.check_window(window + margin + 2)  # centre may enlarge its generator window by 2
 
 
 # arbitrary JSON values, including the ones a strict reader must refuse

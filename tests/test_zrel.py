@@ -20,6 +20,8 @@ from multiloop.kaehler import DifferentialForm
 from multiloop.laurent import LaurentPoly
 from multiloop.session import Session, load_spec
 
+from tests.conftest import from_terms
+
 ROOT = Path(__file__).resolve().parent.parent
 DRAWS = Path(__file__).resolve().parent / "golden" / "zrel_draws.json"
 SPECS = ("a1_untwisted_n1", "a1_untwisted_n2", "a2_twisted", "d4_triality")
@@ -127,7 +129,7 @@ def test_zrel_catches_a_differential_without_the_exponent_factor(monkeypatch):
                     e = tuple(x - (j == i) for j, x in enumerate(alpha))
                     comps[i][e] = comps[i].get(e, ring.field.zero) + c
         return kaehler.DifferentialForm(
-            ring, tuple(ring.from_terms(t.items()) for t in comps)
+            ring, tuple(from_terms(ring, t.items()) for t in comps)
         )
 
     sessions = {spec: load_session(spec) for spec in MUTATION_SPECS}
