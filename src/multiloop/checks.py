@@ -43,20 +43,42 @@ def _coefficient_rows(field) -> tuple:
 def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span: int = 3) -> LaurentPoly:
     field = ring.field
     rows = _coefficient_rows(field)
-    exponents = range(-span, span + 1)
-    variables = range(ring.n)
+    width = 2 * span + 1
+    conductor = field.conductor
     twist = field.degree > 1
-    choice = rng.choice
+    variables = range(ring.n)
+    bits = rng.getrandbits
+    # randrange and choice draw below n as random.Random._randbelow does:
+    # getrandbits(n.bit_length()) until the value is below n.  Inlined, the
+    # stream is the same: the term count below max_terms, each exponent below
+    # 2 * span + 1, the row of k below 19, d - 1 below 9, and the zeta power
+    # below the conductor, as `tests/golden/zrel_draws.json` pins it
+    count_bits, exp_bits = max_terms.bit_length(), width.bit_length()
+    zeta_bits = conductor.bit_length()
+    count = bits(count_bits)
+    while count >= max_terms:
+        count = bits(count_bits)
     terms = {}
-    # randrange(a, b + 1) is randint(a, b), one call frame less; choice(seq)
-    # draws seq[randrange(len(seq))], so the stream is randrange(-span,
-    # span + 1) per exponent, then randrange(-9, 10) for k and
-    # randrange(1, 10) for d, as `tests/golden/zrel_draws.json` pins it
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        exp = tuple([choice(exponents) for _ in variables])
-        coeff = choice(choice(rows))
+    for _ in range(count + 1):
+        exp = []
+        for _ in variables:
+            e = bits(exp_bits)
+            while e >= width:
+                e = bits(exp_bits)
+            exp.append(e - span)
+        exp = tuple(exp)
+        k = bits(5)
+        while k >= 19:
+            k = bits(5)
+        d = bits(4)
+        while d >= 9:
+            d = bits(4)
+        coeff = rows[k][d]
         if twist and rng.random() < 0.3:
-            coeff = field.zeta(rng.randrange(field.conductor)) * coeff
+            power = bits(zeta_bits)
+            while power >= conductor:
+                power = bits(zeta_bits)
+            coeff = field.zeta(power) * coeff
         # a repeated exponent adds up, and a zero sum drops it
         if exp in terms:
             coeff = terms[exp] + coeff

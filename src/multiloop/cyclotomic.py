@@ -76,6 +76,7 @@ class CyclotomicField:
         self.zero = CyclotomicNumber(self, (0,) * d, 1)
         self.one = CyclotomicNumber(self, (1,) + self._tail, 1)
         self._zeta_powers = None
+        self._zeta_terms = None  # nonzero (index, value) of each zeta power
 
     def _shift_reduce(self, coeffs):
         # multiply by x, reduce the overflowing top coefficient
@@ -152,29 +153,69 @@ class CyclotomicField:
             if n0 < 0:
                 n0, den = -n0, -den
             return CyclotomicNumber(self, (den,) + self._tail, n0)
-        return self._euclid_inv(a)
+        return self._norm_inv(a)
 
-    def _euclid_inv(self, a: "CyclotomicNumber") -> "CyclotomicNumber":
-        # extended Euclid in Q[x] against the cyclotomic polynomial
-        r0, r1 = [Fraction(c) for c in self.minpoly], list(a.coeffs)
-        s0, s1 = [], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                out += [_ZERO] * (self.degree - len(out))
-                return self._from_fractions(out[: self.degree])
-            q, rem = _poly_divmod(r0, r1)
-            # s_new = s0 - q*s1
-            s_new = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        """Integer numerators of the product of two integer numerator tuples:
+        a convolution, then x^k (k >= d) folded back into the basis."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        for k, fold in enumerate(self._fold, d):
+            ck = conv[k]
+            if ck:
+                for i, c in fold:
+                    conv[i] += ck * c
+        return tuple(conv[:d])
+
+    def _norm_inv(self, a: "CyclotomicNumber") -> "CyclotomicNumber":
+        # 1/a = b / (a * b), with b the product of the conjugates sigma_k(a)
+        # over the units k != 1 mod M (sigma_k sends z to z^k): a * b is the
+        # norm of a, a nonzero rational.  The units are taken a coset at a
+        # time: if H holds the units reached so far and g^r is the first power
+        # of a new unit g in H, the norm over H<g> is the product of
+        # sigma_(g^j) of the norm over H for j < r.  All on the integer
+        # numerators of a, whose denominator comes back at the end
+        M, num = self.conductor, a.num
+        b, reached = self.one.num, {1}
+        for g in range(2, M):
+            if g in reached or gcd(g, M) != 1:
+                continue
+            r, power = 1, g
+            while power not in reached:
+                r, power = r + 1, power * g % M
+            orbit = self._orbit_product(self._product(num, b), g, r - 1)
+            b = self._product(b, self._conjugate(orbit, g))
+            reached = {x * pow(g, j, M) % M for x in reached for j in range(r)}
+        return _reduced(self, tuple([c * a.den for c in b]), self._product(num, b)[0])
+
+    def _orbit_product(self, y: tuple, g: int, t: int) -> tuple:
+        """prod of sigma_(g^j)(y) over 0 <= j < t, by halving t."""
+        if t == 1:
+            return y
+        half = self._orbit_product(y, g, t // 2)
+        out = self._product(half, self._conjugate(half, pow(g, t // 2, self.conductor)))
+        return self._product(y, self._conjugate(out, g)) if t % 2 else out
+
+    def _conjugate(self, y: tuple, k: int) -> tuple:
+        """sigma_k(y) = sum y_i z^(i*k) on integer numerators, from the nonzero
+        entries of the stored zeta powers."""
+        if self._zeta_terms is None:
+            self._zeta_terms = tuple(
+                tuple((j, c) for j, c in enumerate(self.zeta(p).num) if c)
+                for p in range(self.conductor)
+            )
+        terms, M = self._zeta_terms, self.conductor
+        out = [0] * self.degree
+        for i, c in enumerate(y):
+            if c:
+                for j, z in terms[i * k % M]:
+                    out[j] += c * z
+        return tuple(out)
 
     def parse(self, text: str) -> "CyclotomicNumber":
         """Parse the canonical string form, e.g. "1/2 - 3*z + z^2"."""
@@ -212,15 +253,6 @@ class CyclotomicField:
 
 def _reduced(field, num, den):
     """num/den in canonical form: den > 0 and gcd(den, *num) == 1."""
-    if len(num) == 1:
-        (n,) = num
-        g = gcd(den, n)
-        if den < 0:
-            g = -g
-        if g != 1:
-            n //= g
-            den //= g
-        return CyclotomicNumber(field, (n,), den)
     g = gcd(den, *num)
     if den < 0:
         g = -g
@@ -335,33 +367,47 @@ class CyclotomicNumber:
                     den //= g
                 if len(num) == 1:
                     return CyclotomicNumber(self.field, (num[0] * other,), den)
-                return CyclotomicNumber(self.field, tuple(c * other for c in num), den)
+                return CyclotomicNumber(self.field, tuple([c * other for c in num]), den)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         field = self.field
         a, b = self.num, other.num
-        d = field.degree
-        if d == 1:
-            num = (a[0] * b[0],)
-        else:
-            # integer convolution, then fold x^k (k >= d) back into the basis
-            conv = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            conv[i + j] += ai * bj
-            for k, fold in enumerate(field._fold, d):
-                ck = conv[k]
-                if ck:
-                    for i, c in fold:
-                        conv[i] += ck * c
-            num = tuple(conv[:d])
-        den = self.den * other.den
-        if den == 1:
-            return CyclotomicNumber(field, num, 1)
-        return _reduced(field, num, den)
+        if field.degree == 1:
+            # over Q: one int pair and one gcd
+            n, den = a[0] * b[0], self.den * other.den
+            if den != 1:
+                g = gcd(n, den)
+                if g != 1:
+                    n //= g
+                    den //= g
+            return CyclotomicNumber(field, (n,), den)
+        # a rational factor (num[1:] all zero; num[1] settles most others)
+        # scales the other factor's numerators
+        if b[1] or any(b[2:]):
+            if a[1] or any(a[2:]):
+                num, den = field._product(a, b), self.den * other.den
+                if den == 1:
+                    return CyclotomicNumber(field, num, 1)
+                return _reduced(field, num, den)
+            return other._scaled(a[0], self.den)
+        return self._scaled(b[0], other.den)
+
+    def _scaled(self, k: int, kd: int) -> "CyclotomicNumber":
+        """self * k/kd for coprime ints k and kd > 0.  With gcd(k, den) and
+        gcd(kd, *num) taken out, the product is canonical as it stands."""
+        num, den = self.num, self.den
+        g = gcd(k, den)
+        if g != 1:
+            k //= g
+            den //= g
+        if kd != 1:
+            g = gcd(kd, *num)
+            if g != 1:
+                num = tuple([c // g for c in num])
+                kd //= g
+            den *= kd
+        return CyclotomicNumber(self.field, tuple([c * k for c in num]), den)
 
     __rmul__ = __mul__
 
@@ -417,11 +463,13 @@ class CyclotomicNumber:
             return hash(Fraction(self.num[0], self.den))
         return hash((self.field.conductor, self.num, self.den))
 
+    # one tuple comparison with the zero numerators is faster than any() on
+    # zero and nonzero elements alike
     def __bool__(self):
-        return any(self.num)
+        return self.num != self.field.zero.num
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return self.num == self.field.zero.num
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

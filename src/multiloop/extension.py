@@ -692,15 +692,26 @@ class CentralExtension:
         tw = self.twisted
         basis = tw.window_basis(window)
         in_g0 = {}  # (residue, a, residue, b) -> whether [x_a, y_b] lies in g_0
+        # (mu, nu) -> None when class(s^mu ds^nu) is zero or leaves the base
+        # lattice, else whether s^(mu+nu) lies in the base ring
+        in_r = {}
         failures = []
         checked = 0
         for i, (adeg, apos, _) in enumerate(basis):
             for bdeg, bpos, _ in basis[i:]:
-                cls = self.cocycle_class_of_pair(adeg, bdeg)
-                if cls.is_zero() or not cls.in_base_part():
+                degrees = (adeg, bdeg)
+                if degrees in in_r:
+                    product_in_r = in_r[degrees]
+                else:
+                    cls = self.cocycle_class_of_pair(adeg, bdeg)
+                    product_in_r = in_r[degrees] = (
+                        self.ring.in_base_lattice(tuple(map(add, adeg, bdeg)))
+                        if cls and cls.in_base_part()
+                        else None
+                    )
+                if product_in_r is None:
                     continue
                 checked += 1
-                product_in_r = self.ring.in_base_lattice(tuple(map(add, adeg, bdeg)))
                 key = (tw.residue(adeg), apos, tw.residue(bdeg), bpos)
                 if key not in in_g0:
                     x, y = tw.eigen.component(key[0])[apos], tw.eigen.component(key[2])[bpos]

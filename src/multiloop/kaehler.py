@@ -14,6 +14,7 @@ alpha_p != 0); degree 0 keeps all n coordinates (classes of s_i^{-1} ds_i).
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add, sub
 
 from . import linalg
@@ -65,7 +66,8 @@ class _Graded:
             raise MismatchError(f"{type(self).__name__}s from different rings")
 
     def __add__(self, other):
-        self._check(other)
+        if other.__class__ is not self.__class__ or other.ring is not self.ring:
+            self._check(other)
         out = self.__class__.__new__(self.__class__)
         out.ring = self.ring
         out.pieces = _add_pieces(self.pieces, other.pieces)
@@ -231,19 +233,27 @@ def slot_indices(ring: LaurentRing, degree):
 def _reduce_vector(ring, degree, vec):
     """vec with the pivot slot eliminated along the relation vector degree;
     vec itself, not a copy, when the pivot slot is already zero."""
-    p = pivot_index(degree)
-    if p is None or not vec[p]:
+    for p, d in enumerate(degree):
+        if d:
+            break
+    else:
+        return vec
+    c = vec[p]
+    if not c:
         return vec
     # subtract (c / d) * degree with c = vec[p], d = degree[p]; the pivot
-    # slot becomes zero, and slot i loses c * (a / d), an int multiple of c
-    # when d divides a
+    # slot becomes zero, and slot i loses c * (a / d): an int multiple of c
+    # when d divides a, else c scaled by a / d in lowest terms
     out = list(vec)
-    c, d = vec[p], degree[p]
     for i in range(p + 1, ring.n):
         a = degree[i]
         if a:
             q, r = divmod(a, d)
-            out[i] = vec[i] - (c * a / d if r else c * q)
+            if r:
+                g = gcd(a, d) if d > 0 else -gcd(a, d)
+                out[i] = vec[i] - c._scaled(a // g, d // g)
+            else:
+                out[i] = vec[i] - c * q
     out[p] = ring.field.zero
     return out
 
@@ -300,7 +310,17 @@ class CentralClass(_Graded):
 
 def reduce_form(form: DifferentialForm) -> CentralClass:
     """Quotient map Omega_S -> Omega_S/dS in canonical coordinates."""
-    return CentralClass(form.ring, form.pieces)
+    ring = form.ring
+    pieces = {}
+    # the degrees are tuples and no vector of a form is all zero, so a vector
+    # the reduction leaves as it is goes in unchanged
+    for degree, vec in form.pieces.items():
+        out = _reduce_vector(ring, degree, vec)
+        if out is vec:
+            pieces[degree] = vec
+        elif any(out):
+            pieces[degree] = tuple(out)
+    return CentralClass._graded(ring, pieces)
 
 
 def class_basis_at(ring: LaurentRing, degree):

@@ -205,14 +205,15 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            c = self.ring.field.scalar(other)
-            if not c:
-                return self.ring.zero
-            return LaurentPoly._nonzero(self.ring, {e: v * c for e, v in self.terms.items()})
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly or other.ring is not self.ring:
+            if isinstance(other, (int, Fraction, CyclotomicNumber)):
+                c = self.ring.field.scalar(other)
+                if not c:
+                    return self.ring.zero
+                return LaurentPoly._nonzero(self.ring, {e: v * c for e, v in self.terms.items()})
+            other = self._check(other)
+            if other is None:
+                return NotImplemented
         if len(self.terms) == 1 == len(other.terms):
             ((e1, c1),) = self.terms.items()
             ((e2, c2),) = other.terms.items()

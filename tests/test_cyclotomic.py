@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiloop.cyclotomic import CyclotomicField, cyclotomic_polynomial, root_of_unity
+from multiloop.cyclotomic import (
+    CyclotomicField,
+    _poly_divmod,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 from multiloop.errors import MismatchError
+from multiloop.session import MAX_CONDUCTOR
 
 CONDUCTORS = [1, 2, 3, 4, 6, 12]
 
@@ -88,6 +94,30 @@ def test_division_by_zero():
         field.one / field.zero
 
 
+def euclid_inverse(field, a):
+    """1/a by the extended Euclidean algorithm in Q[x] against the cyclotomic
+    polynomial: the reference for the field's inverse."""
+    r0, r1 = [Fraction(c) for c in field.minpoly], list(a.coeffs)
+    s0, s1 = [], [Fraction(1)]
+    while True:
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if len(r1) == 1:
+            inv = 1 / r1[0]
+            out = [c * inv for c in s1]
+            out += [Fraction(0)] * (field.degree - len(out))
+            return field.from_coeffs(out[: field.degree])
+        q, rem = _poly_divmod(r0, r1)
+        # s_new = s0 - q*s1
+        s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s_new[i + j] -= qi * sj
+        r0, r1 = r1, rem
+        s0, s1 = s1, s_new
+
+
 @pytest.mark.parametrize("conductor", [1, 3, 12])
 def test_rational_inverse_fast_path_matches_euclid(conductor):
     field = CyclotomicField(conductor)
@@ -95,7 +125,7 @@ def test_rational_inverse_fast_path_matches_euclid(conductor):
     values += [Fraction(1, 3), Fraction(-2, 9), Fraction(15, 4), Fraction(-5, 6)]
     for value in values:
         a = field.scalar(value)
-        fast, euclid = field._inv(a), field._euclid_inv(a)
+        fast, euclid = field._inv(a), euclid_inverse(field, a)
         assert (fast.num, fast.den) == (euclid.num, euclid.den)
         assert fast.den > 0
         assert a.inverse() == fast == field.one / a == field.scalar(1 / Fraction(value))
@@ -105,6 +135,27 @@ def test_rational_inverse_fast_path_matches_euclid(conductor):
         field.zero.inverse()
     with pytest.raises(ZeroDivisionError):
         1 / field.zero
+
+
+def test_norm_inverse_matches_euclid_at_every_conductor():
+    # dense elements while the degree is small; past it, at most three
+    # nonzero coefficients, which keep the Euclidean reference fast
+    rng = random.Random(7)
+    for conductor in range(1, MAX_CONDUCTOR + 1):
+        field = CyclotomicField(conductor)
+        degree = field.degree
+        for _ in range(3):
+            coeffs = [Fraction(0)] * degree
+            slots = range(degree) if degree <= 6 else rng.sample(range(degree), 3)
+            for i in slots:
+                coeffs[i] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            a = field.from_coeffs(coeffs)
+            if not a:
+                continue
+            inv, ref = a.inverse(), euclid_inverse(field, a)
+            assert (inv.num, inv.den) == (ref.num, ref.den), conductor
+            assert a * inv == field.one, conductor
+            assert _is_canonical(inv)
 
 
 def _is_canonical(x):
@@ -130,6 +181,34 @@ def test_int_fast_paths_are_exact_and_canonical(conductor, data):
             assert _is_canonical(quotient)
     with pytest.raises(ZeroDivisionError):
         x / 0
+
+
+def convolved(x, y):
+    """x * y by convolving the Fraction coefficients and folding the product
+    modulo the cyclotomic polynomial: the reference for the field product."""
+    field = x.field
+    conv = [Fraction(0)] * (2 * field.degree - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            conv[i + j] += a * b
+    _, rem = _poly_divmod(conv, list(cyclotomic_polynomial(field.conductor)))
+    return field.from_coeffs(rem + [Fraction(0)] * (field.degree - len(rem)))
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 5, 12])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.fractions(min_value=-50, max_value=50, max_denominator=60))
+def test_product_fast_paths_match_the_convolution(conductor, data, k):
+    # degree 1 reduces its one product inline; past it a rational factor
+    # scales the other's numerators; both must give the canonical product
+    field = CyclotomicField(conductor)
+    x, y = data.draw(field_elements(conductor)), data.draw(field_elements(conductor))
+    rational = field.scalar(k)
+    for a, b in [(x, rational), (rational, x), (rational, rational), (x, y), (x, field.zero)]:
+        product = a * b
+        want = convolved(a, b)
+        assert (product.num, product.den) == (want.num, want.den)
+        assert _is_canonical(product)
 
 
 @pytest.mark.parametrize("conductor", [1, 2])

@@ -16,8 +16,9 @@ import pytest
 
 from multiloop import checks, kaehler
 from multiloop.checks import check_zrel, random_poly
+from multiloop.cyclotomic import CyclotomicField
 from multiloop.kaehler import DifferentialForm
-from multiloop.laurent import LaurentPoly
+from multiloop.laurent import LaurentPoly, LaurentRing
 from multiloop.session import Session, load_spec
 
 from tests.conftest import from_terms
@@ -49,6 +50,48 @@ def load_session(spec: str) -> Session:
 def test_zrel_draw_stream_is_pinned(spec):
     session = load_session(spec)
     assert zrel_draws(session) == json.loads(DRAWS.read_text())[spec]
+
+
+def choice_random_poly(ring, rng, max_terms=3, span=3):
+    """random_poly through rng.choice and rng.randrange: the reference for the
+    raw-bit draws, which must read the same stream."""
+    field = ring.field
+    rows = checks._coefficient_rows(field)
+    exponents = range(-span, span + 1)
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exp = tuple([rng.choice(exponents) for _ in range(ring.n)])
+        coeff = rng.choice(rng.choice(rows))
+        if field.degree > 1 and rng.random() < 0.3:
+            coeff = field.zeta(rng.randrange(field.conductor)) * coeff
+        if exp in terms:
+            coeff = terms[exp] + coeff
+        if coeff:
+            terms[exp] = coeff
+        else:
+            terms.pop(exp, None)
+    return LaurentPoly._nonzero(ring, terms)
+
+
+def zrel_stream(ring, rng, draw):
+    """Every draw of a check_zrel run, in order: one per first-loop round,
+    then a, b and c per second-loop round."""
+    out = [draw(ring, rng) for _ in range(ZREL_COUNT)]
+    out += [draw(ring, rng, max_terms=2, span=2) for _ in range(3 * ZREL_COUNT)]
+    return [p.terms for p in out]
+
+
+# no shipped spec reaches conductor 12, where the zeta power takes 4 bits
+@pytest.mark.parametrize("spec", SHIPPED + ["q_zeta12"])
+@pytest.mark.parametrize("seed", [0, 21])
+def test_raw_bit_draws_read_the_stream_as_choice_and_randrange(spec, seed):
+    if spec == "q_zeta12":
+        ring = LaurentRing(CyclotomicField(12), (4, 3))
+    else:
+        ring = load_session(spec).ring
+    fast, reference = random.Random(seed), random.Random(seed)
+    assert zrel_stream(ring, fast, random_poly) == zrel_stream(ring, reference, choice_random_poly)
+    assert fast.getstate() == reference.getstate()
 
 
 # calls per (first-loop draw, second-loop draw) pair: d of p, a, b and c;
