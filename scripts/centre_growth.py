@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from multiloop.errors import SpecError
 from multiloop.session import Session, load_spec
 
 
@@ -23,7 +24,15 @@ def main() -> int:
     parser.add_argument("--max-window", type=int, default=2)
     args = parser.parse_args()
 
-    session = Session(load_spec(args.spec))
+    try:
+        spec = load_spec(args.spec)
+        if args.max_window < 1:
+            raise SpecError(f"--max-window must be >= 1, got {args.max_window}")
+        spec.check_window(args.max_window)
+        session = Session(spec)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ok = True
     for window in range(1, args.max_window + 1):
         rep = session.ext.centre_window(window)

@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multiloop.cohomology import cocycle_space_report
+from multiloop.errors import SpecError
 from multiloop.session import Session, load_spec
 
 
@@ -27,7 +28,17 @@ def main() -> int:
     parser.add_argument("--max-window", type=int, default=4)
     args = parser.parse_args()
 
-    session = Session(load_spec(args.spec))
+    try:
+        spec = load_spec(args.spec)
+        if args.lmax < 0:
+            raise SpecError(f"--lmax must be >= 0, got {args.lmax}")
+        if args.max_window < 1:
+            raise SpecError(f"--max-window must be >= 1, got {args.max_window}")
+        spec.check_window(args.max_window)
+        session = Session(spec)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     n = session.ring.n
     all_closed = True
     for lam in product(range(-args.lmax, args.lmax + 1), repeat=n):

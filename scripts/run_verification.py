@@ -9,11 +9,13 @@ Usage: python scripts/run_verification.py [--window D] [--specs a,b,...]
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multiloop.checks import CHECK_NAMES, run_checks
+from multiloop.errors import SpecError
 from multiloop.session import Session, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -27,12 +29,22 @@ def main() -> int:
     parser.add_argument("--specs", default=",".join(DEFAULT_SPECS))
     args = parser.parse_args()
 
-    failures = 0
-    for name in args.specs.split(","):
-        spec = load_spec(str(SPEC_DIR / f"{name}.json"))
+    names = args.specs.split(",")
+    try:
+        specs = [load_spec(str(SPEC_DIR / f"{name}.json")) for name in names]
         if args.window is not None:
-            spec.window = args.window
-        session = Session(spec)
+            specs = [replace(spec, window=args.window) for spec in specs]
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    failures = 0
+    for name, spec in zip(names, specs):
+        try:
+            session = Session(spec)
+        except SpecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for check in CHECK_NAMES:
             start = time.perf_counter()
             (report,) = run_checks(session, check)

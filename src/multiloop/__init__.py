@@ -9,9 +9,9 @@ cyclotomic-rational arithmetic.
 """
 
 from .cyclotomic import CyclotomicField, CyclotomicNumber, root_of_unity
-from .descent import DescentCocycle, LoopAlgebra, LoopElement, TwistedLoopAlgebra, build_twist
+from .descent import DescentCocycle, LoopAlgebra, LoopElement, TwistedLoopAlgebra
 from .errors import MismatchError, SpecError, StructureError
-from .extension import CentralExtension, ExtendedElement, build_extension
+from .extension import CentralExtension, ExtendedElement
 from .kaehler import (
     CentralClass,
     DifferentialForm,
@@ -30,7 +30,7 @@ from .liealg import (
     is_central_simple,
     simultaneous_eigenspaces,
 )
-from .session import Session, SessionSpec, build_session, load_spec
+from .session import Session, SessionSpec, load_spec
 
 __version__ = "0.1.0"
 
@@ -57,9 +57,6 @@ __all__ = [
     "StructureError",
     "TwistedLoopAlgebra",
     "build_algebra",
-    "build_extension",
-    "build_session",
-    "build_twist",
     "class_basis_at",
     "diagram_automorphism",
     "differential",

@@ -14,17 +14,6 @@ from .kaehler import differential, reduce_form
 from .laurent import LaurentPoly, LaurentRing
 from .session import Session
 
-CHECK_NAMES = (
-    "jacobi",
-    "cocycle",
-    "centre",
-    "perfect",
-    "sandr",
-    "decomposition",
-    "zrel",
-)
-
-
 # conductor -> (field, rows): rows[k + 9][d - 1] is the scalar k/d of that field
 _COEFFICIENTS = {}
 
@@ -179,6 +168,7 @@ _CHECKS = {
     "decomposition": check_decomposition,
     "zrel": check_zrel,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(session: Session, which: str = "all") -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .checks import CHECK_NAMES, h2_report, run_checks
 from .errors import MismatchError, SpecError, StructureError
@@ -114,14 +115,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        spec = load_spec(args.spec)
-        if args.window is not None:
-            spec.window = args.window
-        if args.margin is not None:
-            spec.margin = args.margin
-        if args.seed is not None:
-            spec.seed = args.seed
-        spec.validate()
+        overrides = {"window": args.window, "margin": args.margin, "seed": args.seed}
+        spec = replace(load_spec(args.spec), **{k: v for k, v in overrides.items() if v is not None})
         if getattr(args, "generator_window", None) is not None:
             spec.check_window(args.generator_window)
         session = Session(spec)

@@ -9,9 +9,8 @@ sigma-eigenspace of residue alpha mod (m_1..m_n), tensored with s^alpha.
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import MismatchError, StructureError
-from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
+from .laurent import GaloisElement, LaurentRing, box_degrees
 from .liealg import (
     EigenspaceDecomposition,
     LieAutomorphism,
@@ -349,28 +348,10 @@ class TwistedLoopAlgebra:
                 out.append((degree, pos, el))
         return out
 
-    # -- the fixed subalgebra and the subspaces attached to ring elements --------
+    # -- the fixed subalgebra ---------------------------------------------------
 
     def g0_basis(self):
         return self.eigen.component((0,) * len(self.orders))
 
-    def g_a_subspace(self, a: LaurentPoly):
-        """{x : v_g(x) tensor ^g a = x tensor a for all g}, by character decomposition."""
-        if a.is_zero():
-            raise ValueError("the subspace is defined for nonzero ring elements only")
-        residues = sorted({self.residue(e) for e in a.terms})
-        basis = [list(v) for v in self.eigen.component(residues[0])]
-        for res in residues[1:]:
-            basis = linalg.intersect(
-                basis, [list(v) for v in self.eigen.component(res)], self.field
-            )
-            if not basis:
-                break
-        return [tuple(v) for v in basis]
-
     def in_g0(self, gvec) -> bool:
         return self.eigen.contains((0,) * len(self.orders), list(gvec))
-
-
-def build_twist(algebra, ring, sigmas) -> TwistedLoopAlgebra:
-    return TwistedLoopAlgebra(LoopAlgebra(algebra, ring), sigmas, ring.orders)

@@ -731,7 +731,3 @@ class CentralExtension:
             "pairs_with_nonzero_class": checked,
             "failures": failures,
         }
-
-
-def build_extension(twisted: TwistedLoopAlgebra) -> CentralExtension:
-    return CentralExtension(twisted)

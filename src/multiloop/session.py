@@ -50,8 +50,14 @@ def _list(value) -> list:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionSpec:
+    """An algebra, a twist and the windows to check them on.
+
+    A spec is immutable and valid by construction: `__post_init__` runs
+    `validate`, so an override is `dataclasses.replace(spec, window=w)`,
+    which validates again."""
+
     family: str
     rank: int
     autos: list
@@ -62,9 +68,11 @@ class SessionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionSpec":
+        # the fields are read inside the try and the spec is built outside it:
+        # SpecError is a ValueError, and a refusal keeps its own message
         try:
             algebra = data["algebra"]
-            spec = cls(
+            fields = dict(
                 family=str(algebra["family"]).upper(),
                 rank=_integer(algebra["rank"]),
                 autos=list(_list(data["autos"])),
@@ -75,8 +83,10 @@ class SessionSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed session spec: {exc}") from exc
-        spec.validate()
-        return spec
+        return cls(**fields)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if len(self.family) != 1 or self.family not in VALID_FAMILIES:
@@ -247,7 +257,3 @@ class Session:
             "omega_r_dims": omega,
             "conductor": self.field.conductor,
         }
-
-
-def build_session(spec: SessionSpec) -> Session:
-    return Session(spec)

@@ -243,6 +243,20 @@ def test_window_over_the_basis_limit_exits_2_at_once(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "override, line",
+    [
+        (["--window", "0"], "error: window must be >= 1, got 0\n"),
+        (["--margin", "-1"], "error: margin must be >= 0, got -1\n"),
+    ],
+)
+def test_override_out_of_range_exits_2(capsys, override, line):
+    code, out, err = run_cli(
+        capsys, "check", "jacobi", *override, "--spec", str(SPECS / "a1_untwisted_n1.json")
+    )
+    assert code == 2 and not out and err == line
+
+
 def test_matrix_order_over_the_limit_exits_2_at_once(tmp_path, capsys):
     # exp(ad e) on A1 preserves the bracket and has infinite order: the order
     # check would make one composition per unit of the declared order, so the

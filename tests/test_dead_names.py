@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> why it stays although nothing in src/, scripts/ or bench/ uses it
 ALLOWED = {
     "universal_map_check": "the entry point of the universality check, acceptance C12",
-    "g_a_subspace": "goes together with linalg.intersect, which bench/tracer.py still names",
 }
 
 

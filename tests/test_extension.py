@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -614,7 +615,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
 
     session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
     if window:
-        session.spec.window = window
+        session.spec = replace(session.spec, window=window)
     calls = {"bracket": 0, "lifted_action": 0, "killing": 0, "_joint_eigenspace": 0, "__mul__": 0}
 
     def counted(owner, name):

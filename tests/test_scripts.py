@@ -4,11 +4,15 @@ Each script is started as its own process, as a user would run it, so a name
 it imports that no longer exists fails here rather than at the command line.
 """
 
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from multiloop.session import MAX_WINDOW_BASIS
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = "specs/a1_untwisted_n1.json"
@@ -34,3 +38,48 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout
+
+
+# the least window whose box |degree| <= w on SPEC (dim 3, n = 1) is over the limit
+_OVER = next(w for w in range(1, MAX_WINDOW_BASIS) if 3 * (2 * w + 1) > MAX_WINDOW_BASIS)
+_MARGIN = json.loads((ROOT / SPEC).read_text())["margin"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run_verification.py", "--specs", "a1_untwisted_n1", "--window", "-1"],
+         "window must be >= 1, got -1"),
+        (["run_verification.py", "--specs", "a1_untwisted_n1", "--window", "0"],
+         "window must be >= 1, got 0"),
+        (["centre_growth.py", SPEC, "--max-window", "0"], "--max-window must be >= 1, got 0"),
+        (["h2_window_scan.py", SPEC, "--lmax", "-1"], "--lmax must be >= 0, got -1"),
+        (["centre_growth.py", "specs/missing.json"], "cannot read spec file specs/missing.json"),
+        # run_verification checks the box at window + margin, as the CLI does
+        (["run_verification.py", "--specs", "a1_untwisted_n1", "--window", str(_OVER - _MARGIN)],
+         f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"),
+        (["centre_growth.py", SPEC, "--max-window", str(_OVER)],
+         f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"),
+        (["h2_window_scan.py", SPEC, "--max-window", str(_OVER)],
+         f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"),
+    ],
+    ids=[
+        "run_verification-window-1", "run_verification-window0", "centre_growth-max-window0",
+        "h2_window_scan-lmax-1", "missing-spec", "run_verification-over-limit",
+        "centre_growth-over-limit", "h2_window_scan-over-limit",
+    ],
+)
+def test_script_refuses_with_the_cli_contract(argv, message):
+    # refused before anything is built: exit 2, one error line, no output
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -242,6 +243,27 @@ def test_window_box_over_the_limit_is_refused(change):
     with pytest.raises(SpecError, match=f"MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"):
         SessionSpec.from_dict(data)
     assert time.perf_counter() - start < 0.5
+
+
+def test_spec_fields_cannot_be_assigned():
+    spec = SessionSpec.from_dict(_identity_spec("A", 1))
+    for field in dataclasses.fields(spec):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field.name, getattr(spec, field.name))
+
+
+@pytest.mark.parametrize(
+    "change", [{"window": 0}, {"margin": -1}, {"window": MAX_WINDOW_BASIS}]
+)
+def test_replace_refuses_as_from_dict_does(change):
+    # an override validates again, with the refusal the same document gets
+    data = _identity_spec("A", 1)
+    with pytest.raises(SpecError) as from_document:
+        SessionSpec.from_dict({**data, **change})
+    with pytest.raises(SpecError) as replaced:
+        dataclasses.replace(SessionSpec.from_dict(data), **change)
+    assert str(replaced.value) == str(from_document.value)
+    assert not str(from_document.value).startswith("malformed session spec")
 
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
