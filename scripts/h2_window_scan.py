@@ -3,7 +3,8 @@
 
 For each internal degree in the box |lambda| <= lmax this prints the windowed
 upper bound against the central lower bound, growing the window until the
-sandwich closes or the cap is reached.
+sandwich closes or the cap is reached.  A degree the cap cannot contain gets
+one `open` row naming the window it needs.
 
 Usage: python scripts/h2_window_scan.py specs/a2_twisted.json [--lmax 2] [--max-window 4]
 """
@@ -43,7 +44,11 @@ def main() -> int:
     all_closed = True
     for lam in product(range(-args.lmax, args.lmax + 1), repeat=n):
         closed = False
-        for window in range(max(max(abs(x) for x in lam), 1), args.max_window + 1):
+        least = max(max(abs(x) for x in lam), 1)  # the window must contain lambda
+        if least > args.max_window:
+            print(f"lambda={list(lam)} open: needs a window of at least {least}, "
+                  f"over --max-window {args.max_window}")
+        for window in range(least, args.max_window + 1):
             start = time.perf_counter()
             rep = cocycle_space_report(session.ext, lam, window)
             print(

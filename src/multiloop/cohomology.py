@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import MismatchError, StructureError
 from .extension import CentralExtension
-from .kaehler import central_slots, slot_indices
+from .kaehler import central_slots, invariant_class_basis, slot_indices
 from .laurent import box_degrees
 from .liealg import _subalgebra_killing
 
@@ -534,7 +534,7 @@ def universal_map_check(ext: CentralExtension, P: WindowedCochain) -> dict:
     # diagram conditions: the map restricted to the centre is phi, and the
     # loop part passes through unchanged; both hold by construction of the
     # section, which the comparison above already exercises.
-    n = len(ext.extended_window_basis(P.window))
+    n = len(tw.window_basis(P.window)) + len(invariant_class_basis(ext.ring, P.window))
     return {
         "passed": not failures,
         "window": P.window,

@@ -125,29 +125,9 @@ class LoopElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms)
-
     def component(self, exponent):
         dim = self.parent.algebra.dim
         return self.terms.get(tuple(exponent), tuple([self.parent.field.zero] * dim))
-
-    def galois_ring(self, g: GaloisElement) -> "LoopElement":
-        """Act on the ring part only: x tensor s^a -> character * x tensor s^a.
-        Only the nonzero entries are multiplied; a zero entry is kept as it is."""
-        group = self.parent.ring.group
-        out = {}
-        for e, v in self.terms.items():
-            chi = group.character(g, e)
-            out[e] = tuple(x * chi if x else x for x in v)
-        return LoopElement(self.parent, out)
-
-    def apply_gmap(self, auto: LieAutomorphism) -> "LoopElement":
-        """Apply an automorphism of g to every coefficient vector."""
-        return LoopElement(
-            self.parent,
-            {e: tuple(auto.apply(list(v))) for e, v in self.terms.items()},
-        )
 
     def __str__(self):
         if not self.terms:
@@ -204,10 +184,6 @@ class DescentCocycle:
             for e, v in zip(units, self.generators):
                 if self.value(g + e).columns != self.value(g).compose(v).columns:
                     raise StructureError("constant cocycle law u_(g+h) = u_g u_h fails")
-
-    def apply(self, g: GaloisElement, x: LoopElement) -> LoopElement:
-        """The semilinear descent action x -> u_g(^g x)."""
-        return x.galois_ring(g).apply_gmap(self.value(g))
 
 
 class TwistedLoopAlgebra:
@@ -318,15 +294,6 @@ class TwistedLoopAlgebra:
                 tuple(v) for v in _joint_eigenspace(self.algebra, pairs)
             ]
         return fixed
-
-    def contains(self, x: LoopElement) -> bool:
-        """Membership in L_u: u_g(^g x) = x for every g, exhaustively."""
-        if x.parent != self.loopalg:
-            raise MismatchError("element from a different loop algebra")
-        for g in self.group.elements():
-            if self.cocycle.apply(g, x) != x:
-                return False
-        return True
 
     # -- window bookkeeping -----------------------------------------------------
 

@@ -24,7 +24,7 @@ from .kaehler import (
     invariant_matches_base_image_at,
     slot_indices,
 )
-from .laurent import GaloisElement, box_degrees
+from .laurent import box_degrees
 
 _CENTRE_MAX_ENLARGE = 2
 
@@ -148,16 +148,6 @@ class CentralExtension:
             self,
             self.loopalg.bracket(X.loop, Y.loop),
             self.cocycle(X.loop, Y.loop),
-        )
-
-    # -- descent actions ---------------------------------------------------------
-
-    def lifted_action(self, g: GaloisElement, X: ExtendedElement) -> ExtendedElement:
-        """X -> u_g(^g X): the loop part is twisted, central classes move by ^g."""
-        return ExtendedElement(
-            self,
-            self.twisted.cocycle.apply(g, X.loop),
-            X.central.galois(g),
         )
 
     # -- window bases --------------------------------------------------------------
@@ -427,21 +417,35 @@ class CentralExtension:
         return out
 
     def _loop_kernel_dim(self, degree, generator_window: int) -> int:
-        """dim of loop directions at the degree killed by all generator brackets."""
+        """dim of loop directions at the degree killed by all generator brackets.
+
+        The loop coordinates of [x_a (x) s^degree, y_b (x) s^nu] depend on the
+        residue of nu and on b only; its central part is kappa(x_a, y_b) times
+        the slots of class(s^degree ds^nu).  So the degrees of one residue add
+        the same loop columns and multiples of one kappa column, nonzero exactly
+        when the class is: its first degree in box order and its first with a
+        nonzero class span them all.  Both are kept, so that `_pair_coords`
+        fills the pair table and raises in the order of a scan over every degree."""
         degree = tuple(degree)
-        dim = self.twisted.component_dim(degree)
+        tw = self.twisted
+        dim = tw.component_dim(degree)
         if not dim:
             return 0
-        residue = self.twisted.residue
-        rdeg = residue(degree)
-        gens = [
-            (gdeg, residue(gdeg), gpos)
-            for gdeg, gpos, _ in self.twisted.window_basis(generator_window)
-        ]
+        firsts, nonzero = {}, {}  # residue -> its first degree, its first nonzero class
+        for gdeg in box_degrees(self.ring.n, generator_window):
+            rg = tw.residue(gdeg)
+            if rg in nonzero or not tw.component_dim(gdeg):
+                continue
+            firsts.setdefault(rg, gdeg)
+            if not self.cocycle_class_of_pair(degree, gdeg).is_zero():
+                nonzero[rg] = gdeg
+        gens = sorted({(d, tw.residue(d)) for d in (*firsts.values(), *nonzero.values())})
+        rdeg = tw.residue(degree)
         images = [
             [
                 x
-                for gdeg, rg, gpos in gens
+                for gdeg, rg in gens
+                for gpos in range(tw.component_dim(gdeg))
                 for x in self._pair_coords(degree, gdeg, (rdeg, a, rg, gpos))
             ]
             for a in range(dim)
@@ -461,25 +465,41 @@ class CentralExtension:
         witnesses, uncovered = [], []
         tw = self.twisted
         field = self.field
+        # (residue, residue, whether the degrees are equal) -> whether a kappa of
+        # the pairs of such a block is nonzero, once every pair has been read
+        kappa_blocks = {}
         for degree in box_degrees(self.ring.n, window):
             # the loop basis, then the class basis: target t is the t-th unit vector
+            slots = central_slots(self.ring, degree)
             targets = [("loop", pos) for pos in range(tw.component_dim(degree))]
-            targets += [("central", pos) for pos in range(len(central_slots(self.ring, degree)))]
+            targets += [("central", pos) for pos in range(len(slots))]
             if not targets:
                 continue
-            # pairs (a, b) with a before b in window_basis(big), [a, b] of this degree
-            pairs = []
-            vectors = []
+            # pairs (a, b) with a before b in window_basis(big), [a, b] of this
+            # degree, and their vectors, until they span every target: a later
+            # vector is dependent and gets coefficient 0 in every witness
+            pairs, solver = [], linalg.SpanSolver(field)
             for adeg, bdeg, adim, bdim in tw.pair_blocks(degree, big):
                 ra, rb = tw.residue(adeg), tw.residue(bdeg)
+                block = (ra, rb, adeg == bdeg)
+                if solver.dim == len(targets) and block in kappa_blocks:
+                    # `_pair_coords` raises on a pair here exactly when a kappa of
+                    # the block is nonzero, the degree has no slots and the class is nonzero
+                    if kappa_blocks[block] and not slots and not (
+                        self.cocycle_class_of_pair(adeg, bdeg).is_zero()
+                    ):
+                        raise StructureError(f"central degree {degree} is not base-invariant")
+                    continue
+                kappa = False
                 for apos in range(adim):
                     for bpos in range(apos if bdeg == adeg else 0, bdim):
-                        vec = self._pair_coords(adeg, bdeg, (ra, apos, rb, bpos))
-                        if not any(vec):
-                            continue
-                        pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
-                        vectors.append(vec)
-            solver = linalg.SpanSolver(field, vectors)
+                        key = (ra, apos, rb, bpos)
+                        vec = self._pair_coords(adeg, bdeg, key)
+                        kappa = kappa or bool(tw.pair_at(key)[1])
+                        if solver.dim < len(targets) and any(vec):
+                            pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
+                            solver.add(vec)
+                kappa_blocks[block] = kappa
             for t, (kind, pos) in enumerate(targets):
                 unit = [field.zero] * len(targets)
                 unit[t] = field.one
@@ -514,20 +534,23 @@ class CentralExtension:
         (d) every lifted action preserves the extension bracket.
 
         (a) reads u_g of each eigen-adapted basis vector in component
-        coordinates, once per (g, residue, position) (`_lift_coords`); (d)
-        reuses them to compare the two sides of a loop pair in component
-        coordinates, once per (g, residue, position, residue, position)
-        (`_equivariance_sides`), or as extension elements when a side has no
-        such coordinates.  The extension bracket reads loop parts only, so a
-        pair with a central vector brackets to 0 on both sides and is skipped.
+        coordinates, once per (g, residue, position) (`_lift_coords`).  (d)
+        reads one verdict per (g, residue, position, residue, position)
+        (`_equivariance_sides`): whether the loop sides are equal, and whether
+        the Killing sides are.  The central sides are the Killing sides times
+        class(s^mu ds^nu), so a pair i < j is broken when the loop sides differ,
+        or when the Killing sides differ and that class is nonzero; only a key
+        pair that is not equal on both sides is expanded into its basis pairs.
+        The extension bracket reads loop parts only, so a pair with a central
+        vector brackets to 0 on both sides and is skipped.
         """
         failures = []
         tw = self.twisted
         elems = self.group.elements()
-        loop_basis = [(d, tw.residue(d), pos, el) for d, pos, el in tw.window_basis(window)]
+        basis = tw.window_basis(window)
         for g in elems:
-            for degree, res, pos, _ in loop_basis:
-                if self._lift_coords(g, res, pos) is None:
+            for degree, pos, _ in basis:
+                if self._lift_coords(g, tw.residue(degree), pos) is None:
                     failures.append(
                         {
                             "kind": "stability",
@@ -560,36 +583,30 @@ class CentralExtension:
             if self.ring.in_base_lattice(degree):
                 if not invariant_matches_base_image_at(self.ring, degree):
                     failures.append({"kind": "base-image", "degree": list(degree)})
+        groups = self._key_members(basis)
         for g in elems:
             if not any(g.components):
                 continue  # the identity action preserves everything trivially
-            verdicts = {}
-            for i, (mu, rmu, a, x) in enumerate(loop_basis):
-                for j in range(i + 1, len(loop_basis)):
-                    nu, rnu, b, y = loop_basis[j]
-                    key = (rmu, a, rnu, b)
-                    if key not in verdicts:
-                        verdicts[key] = self._equivariance_sides(g, key)
-                    verdict = verdicts[key]
-                    if verdict is not None:
-                        loop_equal, kappa_equal = verdict
-                        broken = not loop_equal or (
-                            not kappa_equal
-                            and not self.cocycle_class_of_pair(mu, nu).is_zero()
-                        )
-                    else:
-                        X, Y = self.from_loop(x), self.from_loop(y)
-                        lhs = self.lifted_action(g, self.bracket(X, Y))
-                        rhs = self.bracket(self.lifted_action(g, X), self.lifted_action(g, Y))
-                        broken = lhs != rhs
-                    if broken:
-                        failures.append(
-                            {
-                                "kind": "bracket-equivariance",
-                                "g": list(g.components),
-                                "pair": [i, j],
-                            }
-                        )
+            broken = []
+            for kx, xs in groups:
+                for ky, ys in groups:
+                    if ys[-1] <= xs[0]:
+                        continue  # no i < j with these keys
+                    loop_equal, kappa_equal = self._equivariance_sides(g, kx + ky)
+                    if loop_equal and kappa_equal:
+                        continue
+                    for i in xs:
+                        mu = basis[i][0]
+                        for j in ys[bisect_right(ys, i):]:
+                            if not loop_equal or not self.cocycle_class_of_pair(
+                                mu, basis[j][0]
+                            ).is_zero():
+                                broken.append((i, j))
+            broken.sort()
+            failures.extend(
+                {"kind": "bracket-equivariance", "g": list(g.components), "pair": [i, j]}
+                for i, j in broken
+            )
         return {
             "passed": not failures,
             "window": window,
@@ -625,29 +642,29 @@ class CentralExtension:
         chi(mu+nu) L [x_a, y_b] and chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t];
         each class is its Killing part (the same sums over kappa) times
         class(s^mu ds^nu).  Both sides are summed over nonzero entries only.
-        Returns (loop parts equal, Killing parts equal), or None when an image
-        or a bracket has no component coordinates."""
+        Returns (loop parts equal, Killing parts equal); when an image or a
+        bracket has no component coordinates, `_equivariance_sides_in_g` decides."""
         rmu, a, rnu, b = key
         tw, one = self.twisted, self.field.one
         total = tw.residue(tuple(map(add, rmu, rnu)))
         ua, ub = self._lift_pairs(g, rmu, a), self._lift_pairs(g, rnu, b)
         if ua is None or ub is None:
-            return None
+            return self._equivariance_sides_in_g(g, key)
         try:
             coords, kappa = tw.pair_at(key)
             lhs = {}
             for r, c in coords:
                 column = self._lift_pairs(g, total, r)
                 if column is None:
-                    return None
+                    return self._equivariance_sides_in_g(g, key)
                 _add_scaled(lhs, c, column, one)
             rhs = {}
             k_rhs = self.field.zero
             for t, y in ub:
                 scaled = ua if y == one else [(s, x * y) for s, x in ua]
                 k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
-        except StructureError:
-            return None  # a bracket leaves the descended algebra
+        except StructureError:  # a bracket leaves the descended algebra
+            return self._equivariance_sides_in_g(g, key)
         chi = self.group.character(g, total)
         chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
         if chi != chi2:  # equal characters are one nonzero factor of both sides
@@ -656,6 +673,24 @@ class CentralExtension:
             kappa, k_rhs = chi * kappa, chi2 * k_rhs
         loop_equal = {q: e for q, e in lhs.items() if e} == {q: e for q, e in rhs.items() if e}
         return loop_equal, kappa == k_rhs
+
+    def _equivariance_sides_in_g(self, g, key):
+        """`_equivariance_sides` in g-coordinates, for a key where u_g of a side,
+        or the bracket, has no component coordinates: chi(mu+nu) u_g [x_a, y_b]
+        against chi(mu) chi(nu) [u_g x_a, u_g y_b], and chi(mu+nu) kappa(x_a, y_b)
+        against chi(mu) chi(nu) kappa(u_g x_a, u_g y_b).  kappa is read from the
+        algebra, as the pair-table fill may be what raised."""
+        rmu, a, rnu, b = key
+        alg, u = self.algebra, self.twisted.cocycle.value(g)
+        x = list(self.twisted.eigen.component(rmu)[a])
+        y = list(self.twisted.eigen.component(rnu)[b])
+        ux, uy = u.apply(x), u.apply(y)
+        chi = self.group.character(g, tuple(map(add, rmu, rnu)))
+        chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
+        loop_equal = [chi * e for e in u.apply(alg.bracket(x, y))] == [
+            chi2 * e for e in alg.bracket(ux, uy)
+        ]
+        return loop_equal, chi * alg.killing(x, y) == chi2 * alg.killing(ux, uy)
 
     def _fixed_central_dim(self, degree) -> int:
         degree = tuple(degree)

@@ -130,10 +130,6 @@ class LaurentRing:
     def s(self, i: int, power: int = 1) -> "LaurentPoly":
         return self.monomial(tuple(power if j == i else 0 for j in range(self.n)))
 
-    def t(self, i: int, power: int = 1) -> "LaurentPoly":
-        """t_i = s_i^{m_i}, a generator of the base ring R."""
-        return self.s(i, power * self.orders[i])
-
     def scalar_poly(self, value) -> "LaurentPoly":
         c = self.field.scalar(value)
         return LaurentPoly(self, {(0,) * self.n: c} if c else {})
@@ -266,9 +262,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
 
     def galois(self, g: GaloisElement) -> "LaurentPoly":
         """Ring automorphism s_i -> zeta_{m_i}^{g_i} s_i, applied termwise."""

@@ -1,5 +1,6 @@
 import pytest
 
+from multiloop.descent import LoopElement
 from multiloop.kaehler import invariant_matches_base_image_at
 from multiloop.laurent import LaurentPoly, box_degrees
 from multiloop.session import Session, SessionSpec
@@ -8,6 +9,19 @@ from multiloop.session import Session, SessionSpec
 def in_base_ring(p) -> bool:
     """Every exponent of the Laurent polynomial p lies in the base lattice."""
     return all(p.ring.in_base_lattice(e) for e in p.terms)
+
+
+def descent_action(tw, g, x) -> LoopElement:
+    """The semilinear descent action x -> u_g(^g x) on a loop element: the term
+    v (x) s^e goes to chi_g(e) u_g(v) (x) s^e."""
+    u, group = tw.cocycle.value(g), tw.group
+    return LoopElement(
+        x.parent,
+        {
+            e: tuple(u.apply([c * group.character(g, e) for c in v]))
+            for e, v in x.terms.items()
+        },
+    )
 
 
 def from_terms(ring, terms) -> LaurentPoly:

@@ -13,7 +13,12 @@ from multiloop.liealg import (
     diagram_automorphism,
     identity_automorphism,
 )
-from tests.conftest import make_session
+from tests.conftest import descent_action, make_session
+
+
+def contains(tw, x) -> bool:
+    """Membership in L_u: u_g(^g x) = x for every g, exhaustively."""
+    return all(descent_action(tw, g, x) == x for g in tw.group.elements())
 
 
 def random_loop_element(tw, rng, span=2):
@@ -53,12 +58,12 @@ def test_degrees_add(a1_n1):
     alg = a1_n1.algebra
     x = la.pure(alg.e(0), (2,))
     y = la.pure(alg.f(0), (-1,))
-    assert la.bracket(x, y).support() == [(1,)]
+    assert sorted(la.bracket(x, y).terms) == [(1,)]
 
 
 def test_membership_untwisted(a1_n1):
     tw = a1_n1.twisted
-    assert tw.contains(tw.loopalg.pure(a1_n1.algebra.e(0), (1,)))
+    assert contains(tw, tw.loopalg.pure(a1_n1.algebra.e(0), (1,)))
 
 
 def test_membership_twisted(a2_twisted):
@@ -66,9 +71,9 @@ def test_membership_twisted(a2_twisted):
     la = tw.loopalg
     g0 = list(tw.eigen.component((0,))[0])
     g1 = list(tw.eigen.component((1,))[0])
-    assert tw.contains(la.pure(g0, (2,)))  # g0 (x) t
-    assert not tw.contains(la.pure(g1, (2,)))
-    assert tw.contains(la.pure(g1, (3,)))  # g1 (x) s t
+    assert contains(tw, la.pure(g0, (2,)))  # g0 (x) t
+    assert not contains(tw, la.pure(g1, (2,)))
+    assert contains(tw, la.pure(g1, (3,)))  # g1 (x) s t
 
 
 def test_component_dims(a1_n1, a2_twisted):
@@ -91,7 +96,7 @@ def test_component_direct_cross_check(a2_twisted):
 def test_window_basis_members(a2_twisted):
     tw = a2_twisted.twisted
     for _, _, el in tw.window_basis(2):
-        assert tw.contains(el)
+        assert contains(tw, el)
 
 
 def test_bracket_closure_in_window(a2_twisted):
@@ -99,7 +104,7 @@ def test_bracket_closure_in_window(a2_twisted):
     basis = [el for _, _, el in tw.window_basis(1)]
     for x in basis:
         for y in basis:
-            assert tw.contains(tw.loopalg.bracket(x, y))
+            assert contains(tw, tw.loopalg.bracket(x, y))
 
 
 def g_a_subspace(tw, a):
@@ -244,13 +249,13 @@ def test_order3_twist_membership(d4_triality):
     la = tw.loopalg
     for deg in [(-1,), (0,), (1,), (2,)]:
         for el in tw.component_basis(deg):
-            assert tw.contains(el)
+            assert contains(tw, el)
         assert len(tw.component_direct(deg)) == tw.component_dim(deg)
     # an eigenvector moved to the wrong degree falls outside
     v = list(tw.eigen.component((1,))[0])
-    assert tw.contains(la.pure(v, (1,)))
-    assert not tw.contains(la.pure(v, (2,)))
-    assert tw.contains(la.pure(v, (4,)))
+    assert contains(tw, la.pure(v, (1,)))
+    assert not contains(tw, la.pure(v, (2,)))
+    assert contains(tw, la.pure(v, (4,)))
 
 
 def test_shape_mismatch(a1_n1, a1_n2):
@@ -261,31 +266,3 @@ def test_shape_mismatch(a1_n1, a1_n2):
         y = a1_n2.twisted.loopalg.pure(a1_n2.algebra.e(0), (1, 0))
         x + y
 
-
-def test_galois_ring_multiplies_nonzero_entries_only(d4_triality, monkeypatch):
-    tw = d4_triality.twisted
-    rng = random.Random(5)
-    el = tw.loopalg.zero()
-    for degree, _, x in tw.window_basis(1):
-        el = el + x * tw.field.zeta(rng.randrange(3))
-    nonzero = sum(1 for v in el.terms.values() for c in v if c)
-    assert nonzero < len(el.terms) * tw.algebra.dim  # the vectors have zeros
-    for g in tw.group.elements():
-        dense = {
-            e: tuple(c * tw.group.character(g, e) for c in v) for e, v in el.terms.items()
-        }
-        calls = []
-        mul = type(tw.field.one).__mul__
-
-        def counting_mul(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(type(tw.field.one), "__mul__", counting_mul)
-        out = el.galois_ring(g)
-        monkeypatch.undo()
-        assert out.terms == dense
-        assert [[repr(c) for c in v] for v in out.terms.values()] == [
-            [repr(c) for c in v] for v in dense.values()
-        ]
-        assert len(calls) == nonzero

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from multiloop import descent, linalg
 from multiloop.errors import MismatchError, StructureError
+from multiloop.extension import CentralExtension, ExtendedElement
 from multiloop.kaehler import (
     CentralClass,
     central_slots,
@@ -14,7 +16,7 @@ from multiloop.kaehler import (
 )
 from multiloop.laurent import box_degrees
 from multiloop.session import Session, load_spec
-from tests.conftest import in_base_ring, make_session
+from tests.conftest import descent_action, in_base_ring, make_session
 
 
 def test_cocycle_rank1_value(a1_n1):
@@ -65,11 +67,16 @@ def test_central_summand_annihilated(a1_n1):
         assert ext.bracket(z, B).is_zero()
 
 
+def lifted_action(ext, g, X):
+    """X -> u_g(^g X): the loop part is twisted, central classes move by ^g."""
+    return ExtendedElement(ext, descent_action(ext.twisted, g, X.loop), X.central.galois(g))
+
+
 def test_lifted_action_identity(a2_twisted):
     ext = a2_twisted.ext
     g0 = ext.group.identity
     for X in ext.extended_window_basis(1):
-        assert ext.lifted_action(g0, X) == X
+        assert lifted_action(ext, g0, X) == X
 
 
 def test_lifted_action_fixes_untwisted_combination(a1_n1):
@@ -79,11 +86,11 @@ def test_lifted_action_fixes_untwisted_combination(a1_n1):
         class_basis_at(ext.ring, (0,))[0]
     )
     for g in ext.group.elements():
-        assert ext.lifted_action(g, X) == X
+        assert lifted_action(ext, g, X) == X
 
 
 def fixed_by_every_lift(ext, X) -> bool:
-    return all(ext.lifted_action(g, X) == X for g in ext.group.elements())
+    return all(lifted_action(ext, g, X) == X for g in ext.group.elements())
 
 
 def test_fixed_extension_membership(a2_twisted):
@@ -365,14 +372,14 @@ def reference_equivariance_sides(ext, g, key):
     total = tuple(x + y for x, y in zip(rmu, rnu))
     ua, ub = ext._lift_coords(g, rmu, a), ext._lift_coords(g, rnu, b)
     if ua is None or ub is None:
-        return None
+        return ext._equivariance_sides_in_g(g, key)
     try:
         coords, kappa = tw.pair(rmu, a, rnu, b)
         lhs = [zero] * tw.component_dim(total)
         for r, c in coords:
             column = ext._lift_coords(g, tw.residue(total), r)
             if column is None:
-                return None
+                return ext._equivariance_sides_in_g(g, key)
             for q, e in enumerate(column):
                 if e:
                     lhs[q] = lhs[q] + c * e
@@ -384,7 +391,7 @@ def reference_equivariance_sides(ext, g, key):
                 scaled = [(s, x * y) for s, x in xs]
                 k_rhs = k_rhs + reference_add_bracket(ext, rhs, rmu, scaled, rnu, t)
     except StructureError:
-        return None
+        return ext._equivariance_sides_in_g(g, key)
     chi = ext.group.character(g, total)
     chi2 = ext.group.character(g, rmu) * ext.group.character(g, rnu)
     return [chi * e for e in lhs] == [chi2 * e for e in rhs], chi * kappa == chi2 * k_rhs
@@ -406,8 +413,8 @@ def reference_decomposition(ext, window):
     for g in elems:
         u = tw.cocycle.value(g)
         for degree, pos, el in tw.window_basis(window):
-            for e, gv in el.apply_gmap(u).terms.items():
-                if tw.component_coords(e, gv) is None:
+            for e, gv in el.terms.items():
+                if tw.component_coords(e, u.apply(list(gv))) is None:
                     failures.append(
                         {"kind": "stability", "g": list(g.components), "degree": list(degree), "pos": pos}
                     )
@@ -435,8 +442,8 @@ def reference_decomposition(ext, window):
             continue
         for i, X in enumerate(basis):
             for j in range(i + 1, len(basis)):
-                lhs = ext.lifted_action(g, ext.bracket(X, basis[j]))
-                rhs = ext.bracket(ext.lifted_action(g, X), ext.lifted_action(g, basis[j]))
+                lhs = lifted_action(ext, g, ext.bracket(X, basis[j]))
+                rhs = ext.bracket(lifted_action(ext, g, X), lifted_action(ext, g, basis[j]))
                 if lhs != rhs:
                     failures.append(
                         {"kind": "bracket-equivariance", "g": list(g.components), "pair": [i, j]}
@@ -482,25 +489,91 @@ def test_corrupted_a2_constant_gives_the_reference_failures(monkeypatch):
     rep = reference_decomposition(ext, 1)
     equivariance = [f for f in rep["failures"] if f["kind"] == "bracket-equivariance"]
     assert equivariance
+    # the pair-table fill raises on such brackets: the g-coordinate sides decide
+    in_g, sides_in_g = [], ext._equivariance_sides_in_g
+
+    def counted_sides_in_g(g, key):
+        in_g.append(key)
+        return sides_in_g(g, key)
+
+    monkeypatch.setattr(ext, "_equivariance_sides_in_g", counted_sides_in_g)
     assert ext.decomposition(1) == rep
+    assert in_g
+
+
+def bitwist_with_a_corrupted_killing_value(monkeypatch, first="x[1, 0]", second="x[0, -1]"):
+    """`a2_bitwist` with kappa(first, second) = 1 in that order only."""
+    session = Session(load_spec(str(SPECS_DIR / "a2_bitwist.json")))
+    alg = session.algebra
+    i, j = (alg.labels.index(name) for name in (first, second))
+    kill = list(alg._killing_rows)
+    row = dict(kill[i])
+    row[j] = alg.field.one
+    kill[i] = tuple(sorted(row.items()))
+    monkeypatch.setattr(alg, "_killing_rows", kill)
+    return session.ext
 
 
 def test_corrupted_killing_value_gives_the_reference_failures(monkeypatch):
-    session = Session(load_spec(str(SPECS_DIR / "a2_bitwist.json")))
-    alg, ext = session.algebra, session.ext
-    e1, f2 = (alg.labels.index(name) for name in ("x[1, 0]", "x[0, -1]"))
     # kappa(e1, f2) = 1 in one order only: it breaks ad-invariance, so the
     # weights of a cyclic sum differ and the expanded triples must list the
     # old failures; it also pairs eigenvectors whose residues do not sum to
     # 0, which in two variables leaves a class off the base lattice
-    kill = list(alg._killing_rows)
-    row = dict(kill[e1])
-    row[f2] = alg.field.one
-    kill[e1] = tuple(sorted(row.items()))
-    monkeypatch.setattr(alg, "_killing_rows", kill)
+    ext = bitwist_with_a_corrupted_killing_value(monkeypatch)
     cocycle, jacobi, decomposition = assert_structural_reports_match_references(ext, 1)
     assert not cocycle["passed"] and not jacobi["passed"]
     assert any(f["kind"] == "bracket-equivariance" for f in decomposition["failures"])
+
+
+@pytest.mark.parametrize("window, margin", [(1, 1), (2, 0), (2, 1)])
+def test_perfect_reads_the_pairs_past_a_full_span(window, margin):
+    # a nonzero kappa on a key whose residues sum off the base lattice: its
+    # first block has a zero class, and a later one, past the point where the
+    # degree's span is full, a nonzero class that `_pair_coords` refuses
+    session = Session(load_spec(str(SPECS_DIR / "a2_bitwist.json")))
+    tw = session.twisted
+    key = ((0, 0), 0, (1, 1), 0)
+    tw.pair_at(key)
+    tw._pair_kappas[key] = tw.field.one
+    with pytest.raises(StructureError, match=re.escape("central degree (-1, -1) is not")):
+        session.ext.perfectness(window, margin)
+
+
+@pytest.mark.parametrize("first, second", [("x[1, 0]", "x[0, -1]"), ("x[0, 1]", "h1")])
+def test_corrupted_killing_value_breaks_equivariance_only_where_the_class_is_nonzero(
+    first, second, monkeypatch
+):
+    # kappa(first, second) = 1 in one order breaks the Killing sides of some
+    # key pairs whose loop sides agree: their basis pairs with a zero class
+    # class(s^mu ds^nu) are not broken
+    ext = bitwist_with_a_corrupted_killing_value(monkeypatch, first, second)
+    rep = ext.decomposition(1)
+    assert not rep["passed"]
+    assert rep == reference_decomposition(ext, 1)
+
+
+@pytest.mark.parametrize(
+    "window, perfect, centre, wider_centre",
+    [(1, "(-1, 0)", "(-1, -2)", "(-3, -2)"), (2, "(-1, -2)", "(-3, -2)", "(-5, -4)")],
+)
+def test_a_class_off_the_base_lattice_raises_in_perfect_and_centre(
+    window, perfect, centre, wider_centre, monkeypatch
+):
+    # the corrupted kappa is nonzero on a pair whose degrees sum off the base
+    # lattice, where the class has no slots to land in: `perfect` must reach
+    # that pair although the span is full before it, and `centre` must reach
+    # it although it brackets against one or two degrees per residue
+    ext = bitwist_with_a_corrupted_killing_value(monkeypatch)
+
+    def raises_at(degree, suite, *args):
+        message = f"central degree {degree} is not base-invariant"
+        with pytest.raises(StructureError, match=re.escape(message)):
+            suite(window, *args)
+
+    raises_at(perfect, ext.perfectness)
+    raises_at(perfect, ext.perfectness, 0)
+    raises_at(centre, ext.centre_window)
+    raises_at(wider_centre, ext.centre_window, window + 1)
 
 
 def test_unreduced_pivot_gives_the_reference_failures(monkeypatch):
@@ -606,17 +679,20 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
     spec, window, max_brackets, max_decomposition_muls, monkeypatch
 ):
     # at most one g-bracket per pair-table key and one per sandr key; the
-    # lifted action is left for loop pairs whose sides have no coordinates;
-    # one Killing value per pair-table key and one fixed space per residue
+    # g-coordinate equivariance sides are left for keys without component
+    # coordinates, which no shipped spec has; one Killing value per pair-table
+    # key and one fixed space per residue
     from multiloop.checks import CHECK_NAMES, run_checks
     from multiloop.cyclotomic import CyclotomicNumber
-    from multiloop.extension import CentralExtension
     from multiloop.liealg import SplitSimpleLieAlgebra
 
     session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
     if window:
         session.spec = replace(session.spec, window=window)
-    calls = {"bracket": 0, "lifted_action": 0, "killing": 0, "_joint_eigenspace": 0, "__mul__": 0}
+    calls = {
+        "bracket": 0, "_equivariance_sides_in_g": 0, "killing": 0, "_joint_eigenspace": 0,
+        "__mul__": 0,
+    }
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -629,7 +705,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
 
     counted(SplitSimpleLieAlgebra, "bracket")
     counted(SplitSimpleLieAlgebra, "killing")
-    counted(CentralExtension, "lifted_action")
+    counted(CentralExtension, "_equivariance_sides_in_g")
     counted(descent, "_joint_eigenspace")
     counted(CyclotomicNumber, "__mul__")
     reports, decomposition_muls = [], None
@@ -640,7 +716,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
             if name == "decomposition":
                 decomposition_muls = calls["__mul__"] - before
     assert len(reports) == 6 and all(rep["passed"] for rep in reports)
-    assert calls["lifted_action"] == 0
+    assert calls["_equivariance_sides_in_g"] == 0
     if max_brackets is not None:
         assert calls["bracket"] <= max_brackets
     tw = session.twisted
@@ -695,6 +771,84 @@ def test_per_key_and_sparse_routes_match_the_dense_references(spec, window, monk
     session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
     cocycle, decomposition = assert_routes_match_references(session.ext, window, monkeypatch)
     assert cocycle["passed"] and decomposition["passed"]
+
+
+SHIPPED_SPECS = sorted(path.stem for path in SPECS_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_g_coordinate_sides_equal_the_component_sides(spec):
+    # every key of the spec: the residues of a window do not depend on it
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    ext, tw = session.ext, session.twisted
+    keys = [(r, pos) for r, comp in sorted(tw.eigen.components.items()) for pos in range(len(comp))]
+    for g in non_identity(ext):
+        for kx in keys:
+            for ky in keys:
+                key = kx + ky
+                assert ext._equivariance_sides_in_g(g, key) == ext._equivariance_sides(g, key)
+
+
+def reference_loop_kernel_dim(ext, degree, generator_window):
+    """The `_loop_kernel_dim` that brackets against every generator degree."""
+    tw = ext.twisted
+    dim = tw.component_dim(degree)
+    if not dim:
+        return 0
+    rdeg = tw.residue(degree)
+    gens = [(gdeg, tw.residue(gdeg), gpos) for gdeg, gpos, _ in tw.window_basis(generator_window)]
+    images = [
+        [
+            x
+            for gdeg, rg, gpos in gens
+            for x in ext._pair_coords(degree, gdeg, (rdeg, a, rg, gpos))
+        ]
+        for a in range(dim)
+    ]
+    return dim - linalg.SpanSolver(ext.field, images).dim
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        (spec, window)
+        for spec in SHIPPED_SPECS
+        for window in (1, 2, 3)
+        if spec != "d4_bitwist" or window < 3
+    ],
+)
+def test_loop_kernel_per_residue_matches_every_generator_degree(spec, window):
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    ext = session.ext
+    for degree in box_degrees(session.ring.n, window):
+        for generator_window in (window, window + 1, window + 2):
+            assert ext._loop_kernel_dim(degree, generator_window) == reference_loop_kernel_dim(
+                ext, degree, generator_window
+            )
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_loop_kernel_per_residue_reads_a_nonzero_class_where_one_exists(spec):
+    # with the loop part of every bracket of x_0 at residue 0 emptied, x_0 is
+    # killed exactly where no generator degree gives it a nonzero class, as at
+    # degree 0; elsewhere one degree per residue must find the class that does
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    ext, tw = session.ext, session.twisted
+    zero = (0,) * session.ring.n
+    for rg, comp in tw.eigen.components.items():
+        for b in range(len(comp)):
+            tw.pair_at((zero, 0, rg, b))
+            tw._pairs[(zero, 0, rg, b)] = ()
+    kernels = {}
+    for degree in box_degrees(session.ring.n, 3):  # 3: a nonzero degree of residue 0
+        if tw.residue(degree) == zero:
+            for generator_window in (3, 4):
+                kernels[degree, generator_window] = kernel = ext._loop_kernel_dim(
+                    degree, generator_window
+                )
+                assert kernel == reference_loop_kernel_dim(ext, degree, generator_window)
+    assert kernels[zero, 3] == 1
+    assert sum(kernels.values()) < len(kernels)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

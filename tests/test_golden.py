@@ -127,6 +127,12 @@ def test_d4_bitwist_centre_is_the_base_lattice_classes(d4_bitwist):
     _assert_centre_is_the_base_lattice_classes(d4_bitwist, 1)
 
 
+def test_a1_untwisted_n2_centre_is_the_base_lattice_classes_at_window_8():
+    # orders (1, 1): every degree lies in the base lattice, one class at each
+    # but degree 0, which has two
+    _assert_centre_is_the_base_lattice_classes(_session("a1_untwisted_n2"), 8)
+
+
 def test_bitwist_h2_sandwich_certifies_n_at_zero(bitwist):
     # the universal extension's centre at degree 0 has dimension n = 2, and the
     # window-1 sandwich already closes there

@@ -40,6 +40,24 @@ def test_script_runs(argv):
     assert proc.stdout
 
 
+def test_h2_window_scan_names_the_degrees_past_its_window():
+    # |lambda| = 2 lies outside every window up to 1: each gets an open row
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "h2_window_scan.py"), SPEC,
+         "--lmax", "2", "--max-window", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split()[0] for row in rows[:-1]] == [f"lambda=[{x}]" for x in range(-2, 3)]
+    for row in (rows[0], rows[-2]):
+        assert row.endswith("open: needs a window of at least 2, over --max-window 1")
+    assert rows[-1] == "some degrees remain open"
+
+
 # the least window whose box |degree| <= w on SPEC (dim 3, n = 1) is over the limit
 _OVER = next(w for w in range(1, MAX_WINDOW_BASIS) if 3 * (2 * w + 1) > MAX_WINDOW_BASIS)
 _MARGIN = json.loads((ROOT / SPEC).read_text())["margin"]
