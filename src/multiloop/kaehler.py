@@ -21,6 +21,10 @@ from . import linalg
 from .errors import MismatchError
 from .laurent import GaloisElement, LaurentPoly, LaurentRing, box_degrees
 
+# the hot routines below build their results with object.__new__ and two
+# attribute stores, as `_Graded._graded` does, without its call
+_new = object.__new__
+
 
 def _add_pieces(left: dict, right: dict) -> dict:
     """Degree-wise sum of two degree -> vector maps; all-zero sums are dropped."""
@@ -68,6 +72,11 @@ class _Graded:
     def __add__(self, other):
         if other.__class__ is not self.__class__ or other.ring is not self.ring:
             self._check(other)
+        # immutable by convention, so a zero summand gives the other one back
+        if not other.pieces:
+            return self
+        if not self.pieces:
+            return other
         out = self.__class__.__new__(self.__class__)
         out.ring = self.ring
         out.pieces = _add_pieces(self.pieces, other.pieces)
@@ -165,35 +174,36 @@ class DifferentialForm(_Graded):
 
     def scale_poly(self, p: LaurentPoly) -> "DifferentialForm":
         """p * sum_i f_i ds_i: the term c s^e moves degree alpha to alpha + e."""
-        if p.ring is not self.ring and p.ring != self.ring:
+        ring, terms = self.ring, p.terms
+        if p.ring is not ring and p.ring != ring:
             raise MismatchError("Laurent polynomial from a different ring")
-        if len(p.terms) == 1:
-            ((e, c),) = p.terms.items()
-            if not any(e) and c == self.ring.field.one:
+        out = {}
+        if len(terms) == 1:
+            ((e, c),) = terms.items()
+            if not any(e) and c == ring.field.one:
                 return self
             # one term shifts distinct degrees to distinct degrees, and a
             # product of nonzero field elements is nonzero: nothing cancels
-            return DifferentialForm._graded(
-                self.ring,
-                {
-                    tuple(map(add, e, degree)): tuple([x * c if x else x for x in vec])
-                    for degree, vec in self.pieces.items()
-                },
-            )
-        out = {}
-        for e, c in p.terms.items():
             for degree, vec in self.pieces.items():
-                shifted = tuple(map(add, e, degree))
-                cur = out.get(shifted)
-                if cur is None:
-                    out[shifted] = tuple([x * c if x else x for x in vec])
-                else:
-                    total = tuple([t + x * c if x else t for t, x in zip(cur, vec)])
-                    if any(total):
-                        out[shifted] = total
+                out[tuple(map(add, e, degree))] = tuple([x * c if x else x for x in vec])
+        else:
+            pieces = self.pieces.items()
+            for e, c in terms.items():
+                for degree, vec in pieces:
+                    shifted = tuple(map(add, e, degree))
+                    cur = out.get(shifted)
+                    if cur is None:
+                        out[shifted] = tuple([x * c if x else x for x in vec])
                     else:
-                        del out[shifted]
-        return DifferentialForm._graded(self.ring, out)
+                        total = tuple([t + x * c if x else t for t, x in zip(cur, vec)])
+                        if any(total):
+                            out[shifted] = total
+                        else:
+                            del out[shifted]
+        form = _new(DifferentialForm)
+        form.ring = ring
+        form.pieces = out
+        return form
 
     def __str__(self):
         parts = [
@@ -204,16 +214,17 @@ class DifferentialForm(_Graded):
 
 def differential(p: LaurentPoly) -> DifferentialForm:
     """d(c s^alpha) = c alpha at degree alpha, extended linearly; constants give 0."""
-    zero = p.ring.field.zero
+    ring = p.ring
+    zero = ring.field.zero
     # distinct alpha give distinct degrees, and c * a != 0 for c != 0, a != 0
-    return DifferentialForm._graded(
-        p.ring,
-        {
-            alpha: tuple([c * a if a else zero for a in alpha])
-            for alpha, c in p.terms.items()
-            if any(alpha)
-        },
-    )
+    pieces = {}
+    for alpha, c in p.terms.items():
+        if any(alpha):
+            pieces[alpha] = tuple([(c if a == 1 else c * a) if a else zero for a in alpha])
+    form = _new(DifferentialForm)
+    form.ring = ring
+    form.pieces = pieces
+    return form
 
 
 def pivot_index(degree) -> int | None:
@@ -230,30 +241,54 @@ def slot_indices(ring: LaurentRing, degree):
     return [i for i in range(ring.n) if i != p]
 
 
-def _reduce_vector(ring, degree, vec):
-    """vec with the pivot slot eliminated along the relation vector degree;
-    vec itself, not a copy, when the pivot slot is already zero."""
+# degree -> its reduction plan, built once by `_reduction_plan`; a plan
+# depends on the degree alone, so one table serves every ring
+_PLANS = {}
+
+
+def _reduction_plan(degree):
+    """(p, steps) for eliminating the pivot slot p along the relation vector
+    degree; p is None at degree 0.  Slot i loses c * (a_i / a_p), c the pivot
+    entry, for each step (i, k, kd): k / kd is a_i / a_p in lowest terms with
+    kd > 0, so kd == 1 makes k the int quotient."""
     for p, d in enumerate(degree):
         if d:
             break
     else:
+        return None, ()
+    steps = []
+    for i in range(p + 1, len(degree)):
+        a = degree[i]
+        if a:
+            g = gcd(a, d) if d > 0 else -gcd(a, d)
+            steps.append((i, a // g, d // g))
+    return p, tuple(steps)
+
+
+def _reduce_vector(ring, degree, vec):
+    """vec with the pivot slot eliminated along the relation vector degree;
+    vec itself, not a copy, when the pivot slot is already zero."""
+    plan = _PLANS.get(degree)
+    if plan is None:
+        plan = _PLANS[degree] = _reduction_plan(degree)
+    p, steps = plan
+    if p is None:
         return vec
     c = vec[p]
     if not c:
         return vec
-    # subtract (c / d) * degree with c = vec[p], d = degree[p]; the pivot
-    # slot becomes zero, and slot i loses c * (a / d): an int multiple of c
-    # when d divides a, else c scaled by a / d in lowest terms
+    # subtract (c / a_p) * degree: an int multiple of c in each slot a_p
+    # divides, else c scaled by the reduced ratio
     out = list(vec)
-    for i in range(p + 1, ring.n):
-        a = degree[i]
-        if a:
-            q, r = divmod(a, d)
-            if r:
-                g = gcd(a, d) if d > 0 else -gcd(a, d)
-                out[i] = vec[i] - c._scaled(a // g, d // g)
-            else:
-                out[i] = vec[i] - c * q
+    for i, k, kd in steps:
+        if kd != 1:
+            out[i] = vec[i] - c._scaled(k, kd)
+        elif k == 1:
+            out[i] = vec[i] - c
+        elif k == -1:
+            out[i] = vec[i] + c
+        else:
+            out[i] = vec[i] - c * k
     out[p] = ring.field.zero
     return out
 
@@ -320,7 +355,10 @@ def reduce_form(form: DifferentialForm) -> CentralClass:
             pieces[degree] = vec
         elif any(out):
             pieces[degree] = tuple(out)
-    return CentralClass._graded(ring, pieces)
+    cls = _new(CentralClass)
+    cls.ring = ring
+    cls.pieces = pieces
+    return cls
 
 
 def class_basis_at(ring: LaurentRing, degree):

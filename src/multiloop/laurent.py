@@ -210,25 +210,31 @@ class LaurentPoly:
             other = self._check(other)
             if other is None:
                 return NotImplemented
-        if len(self.terms) == 1 == len(other.terms):
-            ((e1, c1),) = self.terms.items()
-            ((e2, c2),) = other.terms.items()
-            return LaurentPoly._nonzero(self.ring, {tuple(map(add, e1, e2)): c1 * c2})
+        terms, other_terms = self.terms, other.terms
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e)
-                # a product of nonzero field elements is nonzero; a sum may cancel
-                if v is None:
-                    out[e] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[e] = v
+        if len(terms) == 1 == len(other_terms):
+            ((e1, c1),) = terms.items()
+            ((e2, c2),) = other_terms.items()
+            out[tuple(map(add, e1, e2))] = c1 * c2
+        else:
+            for e1, c1 in terms.items():
+                for e2, c2 in other_terms.items():
+                    e = tuple(map(add, e1, e2))
+                    v = out.get(e)
+                    # a product of nonzero field elements is nonzero; a sum may cancel
+                    if v is None:
+                        out[e] = c1 * c2
                     else:
-                        del out[e]
-        return LaurentPoly._nonzero(self.ring, out)
+                        v = v + c1 * c2
+                        if v:
+                            out[e] = v
+                        else:
+                            del out[e]
+        # built as `_nonzero` builds it, without its call
+        product = object.__new__(LaurentPoly)
+        product.ring = self.ring
+        product.terms = out
+        return product
 
     __rmul__ = __mul__
 

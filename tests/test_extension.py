@@ -789,6 +789,48 @@ def test_g_coordinate_sides_equal_the_component_sides(spec):
                 assert ext._equivariance_sides_in_g(g, key) == ext._equivariance_sides(g, key)
 
 
+def pair_table_keys(tw):
+    """Every key (residue, a, residue, b) of the pair table: one per pair of
+    eigen-adapted basis vectors of g, so dim(g)^2 keys."""
+    components = sorted(tw.eigen.components.items())
+    return [
+        (r, a, s, b)
+        for r, x in components
+        for a in range(len(x))
+        for s, y in components
+        for b in range(len(y))
+    ]
+
+
+def killing_across_residues(tw):
+    """The pair-table keys whose Killing value is nonzero though their two
+    residues do not sum to 0 mod the orders."""
+    return [
+        key
+        for key in pair_table_keys(tw)
+        if tw.pair_at(key)[1] and any((r + s) % m for r, s, m in zip(key[0], key[2], tw.orders))
+    ]
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_killing_pairs_a_residue_only_with_its_negative(spec):
+    # kappa(g_r, g_r') = 0 unless r + r' = 0: this is why a nonzero kappa
+    # lands on a base-lattice degree, where `_pair_coords` finds a central slot
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    tw = session.twisted
+    assert len(pair_table_keys(tw)) == session.algebra.dim ** 2
+    assert killing_across_residues(tw) == []
+
+
+def test_killing_across_residues_is_seen_on_a_corrupted_value():
+    session = Session(load_spec(str(SPECS_DIR / "a2_bitwist.json")))
+    tw = session.twisted
+    key = ((0, 0), 0, (1, 1), 0)
+    assert not tw.pair_at(key)[1]
+    tw._pair_kappas[key] = tw.field.one
+    assert killing_across_residues(tw) == [key]
+
+
 def reference_loop_kernel_dim(ext, degree, generator_window):
     """The `_loop_kernel_dim` that brackets against every generator degree."""
     tw = ext.twisted

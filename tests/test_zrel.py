@@ -201,3 +201,19 @@ def test_zrel_catches_a_product_that_keeps_one_term(monkeypatch):
         report = check_zrel(session, count=50)
         assert not report["passed"], spec
         assert "z-cyclic" in _kinds(report), spec
+
+
+def test_zrel_catches_a_corrupted_reduction_plan(monkeypatch):
+    # every reduction at a degree reads the plan memoised for it, so a wrong
+    # plan must show as a failure, not hide behind the cache: at degree
+    # (1, 1) slot 2 loses 1 times the pivot entry, and -1 leaves d(s1 s2)
+    # reducing to a nonzero class
+    session = load_session("a1_untwisted_n2")
+    assert check_zrel(session, count=50)["passed"]
+    degree = (1, 1)
+    assert kaehler._PLANS[degree] == kaehler._reduction_plan(degree) == (0, ((1, 1, 1),))
+    monkeypatch.setitem(kaehler._PLANS, degree, (0, ((1, -1, 1),)))
+    report = check_zrel(session, count=50)
+    assert "reduce-d" in _kinds(report)
+    monkeypatch.undo()
+    assert check_zrel(session, count=50)["passed"]
