@@ -19,8 +19,7 @@ from multiloop.errors import SpecError
 from multiloop.session import Session, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
-DEFAULT_SPECS = ["a1_untwisted_n1", "a1_untwisted_n2", "a2_twisted", "d4_triality", "a2_bitwist",
-                 "d4_bitwist"]
+DEFAULT_SPECS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
 
 
 def main() -> int:

@@ -319,6 +319,3 @@ class TwistedLoopAlgebra:
 
     def g0_basis(self):
         return self.eigen.component((0,) * len(self.orders))
-
-    def in_g0(self, gvec) -> bool:
-        return self.eigen.contains((0,) * len(self.orders), list(gvec))

@@ -92,13 +92,12 @@ class CentralExtension:
         self.group = twisted.group
         # window -> the failing pairs of its antisymmetry sums
         # (`_antisymmetry_failures`) and the failing triples of its cyclic sums
-        # (`_cyclic_failures`); (g, residue, position) -> the coordinates of u_g
-        # on that basis vector (`_lift_coords`), and their nonzero entries
-        # (`_lift_pairs`); all filled on first use
+        # (`_cyclic_failures`); (g, residue, position) -> the nonzero component
+        # coordinates of u_g on that basis vector (`_lift_pairs`); all filled on
+        # first use
         self._antisymmetry = {}
         self._cyclic = {}
         self._lifts = {}
-        self._lift_sparse = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -534,7 +533,8 @@ class CentralExtension:
         (d) every lifted action preserves the extension bracket.
 
         (a) reads u_g of each eigen-adapted basis vector in component
-        coordinates, once per (g, residue, position) (`_lift_coords`).  (d)
+        coordinates, once per (g, residue, position) (`_lift_pairs`).  (b)
+        reads the eigenspace solvers of the session.  (d)
         reads one verdict per (g, residue, position, residue, position)
         (`_equivariance_sides`): whether the loop sides are equal, and whether
         the Killing sides are.  The central sides are the Killing sides times
@@ -550,7 +550,7 @@ class CentralExtension:
         basis = tw.window_basis(window)
         for g in elems:
             for degree, pos, _ in basis:
-                if self._lift_coords(g, tw.residue(degree), pos) is None:
+                if self._lift_pairs(g, tw.residue(degree), pos) is None:
                     failures.append(
                         {
                             "kind": "stability",
@@ -565,10 +565,9 @@ class CentralExtension:
             res = tw.residue(degree)
             if res not in loop_spaces:
                 fixed = tw.component_direct(degree)
-                comp = tw.component_gbasis(degree)
-                span = linalg.SpanSolver(self.field, comp)
-                same = len(fixed) == len(comp) and all(span.contains(v) for v in fixed)
-                loop_spaces[res] = len(fixed), len(comp), same
+                dim = tw.component_dim(degree)
+                same = len(fixed) == dim and all(tw.eigen.contains(res, v) for v in fixed)
+                loop_spaces[res] = len(fixed), dim, same
             loop_fixed, loop_component, same = loop_spaces[res]
             central_expected = len(central_slots(self.ring, degree))
             central_fixed = self._fixed_central_dim(degree)
@@ -614,25 +613,19 @@ class CentralExtension:
             "failures": failures,
         }
 
-    def _lift_coords(self, g, residue, pos):
-        """Component coordinates of u_g x for the eigen-adapted basis vector x
-        at (residue, pos), or None when u_g x leaves the component; memoised."""
+    def _lift_pairs(self, g, residue, pos):
+        """The nonzero (q, e) of the component coordinates of u_g x for the
+        eigen-adapted basis vector x at (residue, pos), or None when u_g x
+        leaves the component; memoised."""
         key = (g.components, residue, pos)
         if key not in self._lifts:
             tw = self.twisted
             x = list(tw.eigen.component(residue)[pos])
-            self._lifts[key] = tw.component_coords(residue, tw.cocycle.value(g).apply(x))
-        return self._lifts[key]
-
-    def _lift_pairs(self, g, residue, pos):
-        """The nonzero (q, e) of `_lift_coords`, or None; memoised."""
-        key = (g.components, residue, pos)
-        if key not in self._lift_sparse:
-            coords = self._lift_coords(g, residue, pos)
-            self._lift_sparse[key] = (
+            coords = tw.component_coords(residue, tw.cocycle.value(g).apply(x))
+            self._lifts[key] = (
                 None if coords is None else tuple((q, e) for q, e in enumerate(coords) if e)
             )
-        return self._lift_sparse[key]
+        return self._lifts[key]
 
     def _equivariance_sides(self, g, key):
         """Compare u_g ^g [X, Y] with [u_g ^g X, u_g ^g Y] for X = x_a (x) s^mu and
@@ -723,6 +716,10 @@ class CentralExtension:
         For pairs (x (x) s^a, y (x) s^b) with class(s^a d s^b) a nonzero
         base-lattice class: s^(a+b) must lie in the base ring and [x,y] in the
         fixed subalgebra.  Any violation would signal an implementation bug.
+
+        [x, y] is read from the pair table once per key: it lies in g_0 when
+        it has coordinates in the component at a + b and a + b has residue 0,
+        or when it is 0; the fill raises when it has no such coordinates.
         """
         tw = self.twisted
         basis = tw.window_basis(window)
@@ -749,8 +746,12 @@ class CentralExtension:
                 checked += 1
                 key = (tw.residue(adeg), apos, tw.residue(bdeg), bpos)
                 if key not in in_g0:
-                    x, y = tw.eigen.component(key[0])[apos], tw.eigen.component(key[2])[bpos]
-                    in_g0[key] = tw.in_g0(self.algebra.bracket(list(x), list(y)))
+                    try:
+                        coords = tw._pair_bracket(adeg, apos, bdeg, bpos)
+                    except StructureError:  # [x_a, y_b] leaves the component at a + b
+                        in_g0[key] = False
+                    else:  # a nonzero bracket at a residue other than 0 is off g_0
+                        in_g0[key] = not (coords and any(tw.residue(tuple(map(add, *degrees)))))
                 bracket_in_g0 = in_g0[key]
                 if not (product_in_r and bracket_in_g0):
                     failures.append(

@@ -35,10 +35,6 @@ class GaloisGroup:
                 )
         self.n = len(self.orders)
 
-    @property
-    def identity(self) -> "GaloisElement":
-        return GaloisElement(self, (0,) * self.n)
-
     def generator(self, i: int) -> "GaloisElement":
         return GaloisElement(self, tuple(1 if j == i else 0 for j in range(self.n)))
 

@@ -225,7 +225,7 @@ class Session:
         parse = self.field.parse
         columns = [
             [
-                parse(str(entries[i][j])) if not isinstance(entries[i][j], int)
+                parse(str(entries[i][j])) if type(entries[i][j]) is not int
                 else self.field.scalar(entries[i][j])
                 for i in range(dim)
             ]

@@ -2,13 +2,18 @@ import pytest
 
 from multiloop.descent import LoopElement
 from multiloop.kaehler import invariant_matches_base_image_at
-from multiloop.laurent import LaurentPoly, box_degrees
+from multiloop.laurent import GaloisElement, LaurentPoly, box_degrees
 from multiloop.session import Session, SessionSpec
 
 
 def in_base_ring(p) -> bool:
     """Every exponent of the Laurent polynomial p lies in the base lattice."""
     return all(p.ring.in_base_lattice(e) for e in p.terms)
+
+
+def identity(group) -> GaloisElement:
+    """The neutral element (0, ..., 0) of a Galois group."""
+    return GaloisElement(group, (0,) * group.n)
 
 
 def descent_action(tw, g, x) -> LoopElement:

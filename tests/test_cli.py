@@ -136,10 +136,13 @@ _IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": _IDENTITY_3, "order": 1.9}),
         ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": ["100", "010", "001"], "order": 1}),
         ({"family": "A", "rank": 1}, {"kind": "matrix", "entries": "abc", "order": 1}),
+        ({"family": "A", "rank": 1},
+         {"kind": "matrix", "entries": [[True, 0, 0]] + _IDENTITY_3[1:], "order": 1}),
     ],
     ids=[
         "zero-denominator", "float-entry", "non-integer-perm", "string-perm",
         "fractional-perm-entry", "fractional-order", "string-rows", "string-entries",
+        "boolean-entry",
     ],
 )
 def test_malformed_automorphism_entries_exit_2(tmp_path, capsys, algebra, auto):

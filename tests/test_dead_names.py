@@ -3,11 +3,13 @@
 A name counts as used when a module under `src/`, `scripts/` or `bench/`
 mentions it other than by defining it: a function or class defined at module
 level as a name, an attribute, an imported name, or a string that is a dotted
-name (`bench/tracer.py` names the points it rebinds by such strings); a method
-only as an attribute or such a string, since a bare name (a loop variable `e`,
-say) does not reach it.  Tests do not count: a helper that only tests call
-belongs in the tests.  Special methods, which the interpreter calls, and the
-names `multiloop.__all__` exports are exempt.
+name; a method only as an attribute or such a string, since a bare name (a
+loop variable `e`, say) does not reach it.  An undotted string counts only in
+`bench/tracer.py`, whose `SPAN_POINTS` name the attributes it rebinds that
+way; elsewhere it is data, such as the spec kind "identity".  Tests do not
+count: a helper that only tests call belongs in the tests.  Special methods,
+which the interpreter calls, and the names `multiloop.__all__` exports are
+exempt.
 """
 
 import ast
@@ -23,7 +25,10 @@ ALLOWED = {
     "universal_map_check": "the entry point of the universality check, acceptance C12",
     "e": "the Chevalley generator x_(alpha_i) of `SplitSimpleLieAlgebra`, a partner of `h`",
     "f": "the Chevalley generator x_(-alpha_i) of `SplitSimpleLieAlgebra`, a partner of `h`",
+    "h": "the Cartan generator h_i of `SplitSimpleLieAlgebra`, a partner of `e` and `f`",
 }
+# the one module whose undotted strings name attributes: it rebinds them by name
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def parsed(*tops):
@@ -53,7 +58,7 @@ def defined_names():
 def referenced_names():
     """(names reached as attributes or dotted strings, names reached otherwise)."""
     attributes, bare = set(), set()
-    for _, tree in parsed("src", "scripts", "bench"):
+    for path, tree in parsed("src", "scripts", "bench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 bare.add(node.id)
@@ -62,7 +67,9 @@ def referenced_names():
             elif isinstance(node, ast.alias):
                 bare.update(node.name.split("."))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", node.value) or (
+                    path == TRACER and node.value.isidentifier()
+                ):
                     attributes.update(node.value.split("."))
     return attributes, bare
 

@@ -13,7 +13,7 @@ from multiloop.liealg import (
     diagram_automorphism,
     identity_automorphism,
 )
-from tests.conftest import descent_action, make_session
+from tests.conftest import descent_action, identity, make_session
 
 
 def contains(tw, x) -> bool:
@@ -166,7 +166,7 @@ def test_cocycle_values_and_law(a2_twisted):
     for g in elems:
         for h in elems:
             assert u.value(g + h).columns == u.value(g).compose(u.value(h)).columns
-    assert u.value(group.identity) == identity_automorphism(tw.algebra)
+    assert u.value(identity(group)) == identity_automorphism(tw.algebra)
 
 
 def test_cocycle_rejects_wrong_order(a1_n1):

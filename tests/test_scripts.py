@@ -5,6 +5,7 @@ it imports that no longer exists fails here rather than at the command line.
 """
 
 import json
+import runpy
 import subprocess
 import sys
 import time
@@ -38,6 +39,12 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout
+
+
+def test_run_verification_defaults_to_every_shipped_spec():
+    # a spec added to specs/ is run without editing the script
+    script = runpy.run_path(str(ROOT / "scripts" / "run_verification.py"))
+    assert script["DEFAULT_SPECS"] == sorted(path.stem for path in (ROOT / "specs").glob("*.json"))
 
 
 def test_h2_window_scan_names_the_degrees_past_its_window():
