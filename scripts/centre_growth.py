@@ -3,7 +3,8 @@
 
 The expected column counts the base-lattice classes in the window (n at the
 origin, n-1 per nonzero base degree); the computed column is the bracket
-kernel against the generator window.
+kernel against the generator window.  One progress line per window goes to
+stderr as that window starts; stdout holds the table only.
 
 Usage: python scripts/centre_growth.py specs/a1_untwisted_n2.json --max-window 2
 """
@@ -35,6 +36,8 @@ def main() -> int:
         return 2
     ok = True
     for window in range(1, args.max_window + 1):
+        print(f"window {window}/{args.max_window}: computing the centre",
+              file=sys.stderr, flush=True)
         rep = session.ext.centre_window(window)
         ok &= rep["passed"]
         print(

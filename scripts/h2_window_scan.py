@@ -4,7 +4,8 @@
 For each internal degree in the box |lambda| <= lmax this prints the windowed
 upper bound against the central lower bound, growing the window until the
 sandwich closes or the cap is reached.  A degree the cap cannot contain gets
-one `open` row naming the window it needs.
+one `open` row naming the window it needs.  One progress line per scanned
+window goes to stderr as that window starts; stdout holds the rows only.
 
 Usage: python scripts/h2_window_scan.py specs/a2_twisted.json [--lmax 2] [--max-window 4]
 """
@@ -49,6 +50,8 @@ def main() -> int:
             print(f"lambda={list(lam)} open: needs a window of at least {least}, "
                   f"over --max-window {args.max_window}")
         for window in range(least, args.max_window + 1):
+            print(f"lambda={list(lam)} window {window}/{args.max_window}: computing H2",
+                  file=sys.stderr, flush=True)
             start = time.perf_counter()
             rep = cocycle_space_report(session.ext, lam, window)
             print(

@@ -14,7 +14,8 @@ from .kaehler import differential, reduce_form
 from .laurent import LaurentPoly, LaurentRing
 from .session import Session
 
-# conductor -> (field, rows): rows[k + 9][d - 1] is the scalar k/d of that field
+# conductor -> (field, rows, multiples): rows[k + 9][d - 1] is the scalar k/d
+# of that field, and multiples maps (p, k + 9, d - 1) to zeta^p * k/d once drawn
 _COEFFICIENTS = {}
 
 
@@ -25,7 +26,7 @@ def _coefficient_rows(field) -> tuple:
         rows = tuple(
             tuple(field.scalar(k) / d for d in range(1, 10)) for k in range(-9, 10)
         )
-        cached = _COEFFICIENTS[field.conductor] = (field, rows)
+        cached = _COEFFICIENTS[field.conductor] = (field, rows, {})
     return cached[1]
 
 
@@ -35,6 +36,7 @@ def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span:
     width = 2 * span + 1
     conductor = field.conductor
     twist = field.degree > 1
+    multiples = _COEFFICIENTS[conductor][2]
     variables = range(ring.n)
     bits = rng.getrandbits
     # randrange and choice draw below n as random.Random._randbelow does:
@@ -67,7 +69,11 @@ def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span:
             power = bits(zeta_bits)
             while power >= conductor:
                 power = bits(zeta_bits)
-            coeff = field.zeta(power) * coeff
+            key = (power, k, d)
+            multiple = multiples.get(key)
+            if multiple is None:
+                multiple = multiples[key] = field.zeta(power) * coeff
+            coeff = multiple
         # a repeated exponent adds up, and a zero sum drops it
         if exp in terms:
             coeff = terms[exp] + coeff

@@ -279,16 +279,20 @@ class TwistedLoopAlgebra:
 
     def component_direct(self, degree):
         """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the
-        eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x.  The
-        characters depend on the residue of the degree only, so the space is
-        computed once per residue."""
+        eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x.  Both
+        u_g and chi_(-degree)(g) are the products of their values at the
+        generators e_i of G, taken g_i times, so the conditions at the e_i
+        alone have the same solutions, and `_joint_eigenspace` stacks n
+        blocks of rows rather than |G|.  The characters depend on the residue
+        of the degree only, so the space is computed once per residue."""
         residue = self.residue(degree)
         fixed = self._direct.get(residue)
         if fixed is None:
             negated = tuple(-a for a in residue)
+            group = self.group
             pairs = [
-                (self.cocycle.value(g).columns, self.group.character(g, negated))
-                for g in self.group.elements()
+                (self.cocycle.value(e).columns, group.character(e, negated))
+                for e in map(group.generator, range(group.n))
             ]
             fixed = self._direct[residue] = [
                 tuple(v) for v in _joint_eigenspace(self.algebra, pairs)

@@ -93,11 +93,13 @@ class CentralExtension:
         # window -> the failing pairs of its antisymmetry sums
         # (`_antisymmetry_failures`) and the failing triples of its cyclic sums
         # (`_cyclic_failures`); (g, residue, position) -> the nonzero component
-        # coordinates of u_g on that basis vector (`_lift_pairs`); all filled on
-        # first use
+        # coordinates of u_g on that basis vector (`_lift_pairs`);
+        # (g, residue, residue) -> the characters of `_equivariance_sides`; all
+        # filled on first use
         self._antisymmetry = {}
         self._cyclic = {}
         self._lifts = {}
+        self._characters = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -173,18 +175,41 @@ class CentralExtension:
                 w = w + (kappa if c == one else c * kappa)
         return w
 
-    def _cyclic_entry(self, x, y, z):
+    def _cyclic_entry(self, x, y, z, outer):
         """The cyclic sum [[x, y], z] + [[y, z], x] + [[z, x], y] of the component
         basis vectors named by three (residue, position) pairs: whether its
         loop part is nonzero, and the weights kappa([x,y],z), kappa([y,z],x),
         kappa([z,x],y).  Both depend on the residues only, so one entry
-        serves every triple of degrees with those residues."""
-        tw = self.twisted
+        serves every triple of degrees with those residues.
+
+        outer is the scan's memo of key pair -> (coordinates of [x, y], the
+        residue of its degree); each inner bracket is added in place, with a
+        coefficient 1 multiplying nothing."""
+        tw, one = self.twisted, self.field.one
+        pair_at = tw.pair_at
         loop, weights = {}, []
-        for (rp, ap), (rq, aq), (rr, ar) in ((x, y, z), (y, z, x), (z, x, y)):
-            coords = tw.pair_at((rp, ap, rq, aq))[0]
-            rpq = tw.residue(tuple(map(add, rp, rq)))
-            weights.append(self._add_bracket(loop, rpq, coords, rr, ar))
+        for p, q, (rr, ar) in ((x, y, z), (y, z, x), (z, x, y)):
+            key = p + q
+            entry = outer.get(key)
+            if entry is None:
+                entry = outer[key] = (
+                    pair_at(key)[0], tw.residue(tuple(map(add, p[0], q[0])))
+                )
+            coords, rpq = entry
+            w = None
+            for s, c in coords:
+                inner, kappa = pair_at((rpq, s, rr, ar))
+                scale = c != one
+                for t, e in inner:
+                    if scale:
+                        e = c * e
+                    v = loop.get(t)
+                    loop[t] = e if v is None else v + e
+                if kappa:
+                    if scale:
+                        kappa = c * kappa
+                    w = kappa if w is None else w + kappa
+            weights.append(self.field.zero if w is None else w)
         return any(loop.values()), weights
 
     def _key_members(self, basis):
@@ -216,8 +241,9 @@ class CentralExtension:
         (residue, position) triple with a zero loop part and equal weights has
         no failing triple at any degree; only the other triples that occur are
         expanded into their basis triples, and their classes reduced one by one.
-        Each (residue, position) triple is visited once; only the failing basis
-        triples are kept, memoised per window for the two suites.
+        Each (residue, position) triple is visited once, and each key pair's
+        coordinates once per scan; only the failing basis triples are kept,
+        memoised per window for the two suites.
         """
         if window in self._cyclic:
             return self._cyclic[window]
@@ -225,7 +251,7 @@ class CentralExtension:
         basis = self.twisted.window_basis(window)
         groups = self._key_members(basis)
         degree_fact = self._degree_fact(3 * window)
-        out = []
+        out, outer = [], {}
         for kx, xs in groups:
             for ky, ys in groups:
                 at = bisect_right(ys, xs[0])
@@ -234,7 +260,7 @@ class CentralExtension:
                 for kz, zs in groups:
                     if zs[-1] <= ys[at]:
                         continue  # no i < j < k with these keys
-                    loop, (w1, w2, w3) = self._cyclic_entry(kx, ky, kz)
+                    loop, (w1, w2, w3) = self._cyclic_entry(kx, ky, kz, outer)
                     if not loop and w1 == w2 == w3 and (degree_fact or not w1):
                         continue
                     for i in xs:
@@ -658,8 +684,13 @@ class CentralExtension:
                 k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
         except StructureError:  # a bracket leaves the descended algebra
             return self._equivariance_sides_in_g(g, key)
-        chi = self.group.character(g, total)
-        chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
+        chis = self._characters.get((g.components, rmu, rnu))
+        if chis is None:
+            character = self.group.character
+            chis = self._characters[(g.components, rmu, rnu)] = (
+                character(g, total), character(g, rmu) * character(g, rnu)
+            )
+        chi, chi2 = chis
         if chi != chi2:  # equal characters are one nonzero factor of both sides
             lhs = {q: chi * e for q, e in lhs.items()}
             rhs = {q: chi2 * e for q, e in rhs.items()}
@@ -686,10 +717,13 @@ class CentralExtension:
         return loop_equal, chi * alg.killing(x, y) == chi2 * alg.killing(ux, uy)
 
     def _fixed_central_dim(self, degree) -> int:
+        """The slots of the classes at the degree when every g acts on them
+        trivially, else 0.  A character is multiplicative in g, so it is
+        trivial on G when it is on the generators of G."""
         degree = tuple(degree)
+        group, one = self.group, self.field.one
         trivial = all(
-            self.group.character(g, degree) == self.field.one
-            for g in self.group.elements()
+            group.character(group.generator(i), degree) == one for i in range(group.n)
         )
         if not trivial:
             return 0

@@ -10,15 +10,22 @@ residue-keyed memos read dense eigenvectors.  The identity twists conjugate
 to the identity and exercise only the `matrix` path.
 """
 
+import random
+
 import pytest
 
+from multiloop import kaehler
 from multiloop.checks import CHECK_NAMES, h2_report, run_checks
+from multiloop.errors import StructureError
+from multiloop.laurent import box_degrees
 from multiloop.session import Session, SessionSpec, load_spec
 from tests.test_extension import (
     SHIPPED_SPECS,
     SPECS_DIR,
     reference_base_ring_pairs,
+    reference_component_direct,
     reference_decomposition,
+    window_keys,
 )
 
 # the report keys whose values are written in the eigen-adapted basis: the
@@ -110,3 +117,78 @@ def test_sandr_and_decomposition_match_their_references_on_a_dense_conjugate():
     ext = conjugate.ext
     assert ext.base_ring_pairs(1) == reference_base_ring_pairs(ext, 1)
     assert ext.decomposition(1) == reference_decomposition(ext, 1)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SPECS)
+def test_fixed_spaces_from_the_generators_equal_the_all_elements_reference(name):
+    # `component_direct` stacks the rows of the generators of G only; the
+    # reference stacks every element, and the conjugates' columns are dense
+    session, conjugate = shipped_and_conjugate(name)
+    for tw in (session.twisted, conjugate.twisted):
+        for degree in box_degrees(tw.ring.n, 2):  # the window-2 box holds the window-1 box
+            assert tw.component_direct(degree) == reference_component_direct(tw, degree)
+
+
+def asymmetric_killing_entry(session, monkeypatch):
+    """kappa_ab + 1 on one key whose residues sum to 0, in that order only."""
+    tw = session.twisted
+    keys = window_keys(tw, 1)
+    for key in keys:
+        tw.pair_at(key)
+    opposite = [
+        key for key in keys
+        if key[0] != (0,) and tw.residue((key[0][0] + key[2][0],)) == (0,)
+    ]
+    key = random.Random(0).choice(opposite)
+    tw._pair_kappas[key] = tw._pair_kappas[key] + 1
+
+
+def doubled_structure_constant(session, monkeypatch):
+    """[e1, f1] = 2 h1 in that order only."""
+    alg = session.algebra
+    e, f, h = (alg.labels.index(x) for x in ("x[1, 0, 0, 0]", "x[-1, 0, 0, 0]", "h1"))
+    monkeypatch.setitem(alg._rows[e], f, ((h, alg.field.scalar(2)),))
+
+
+def unreduced_pivot(session, monkeypatch):
+    """Reduction leaves the pivot slot of a degree in place."""
+    reduce = kaehler._reduce_vector
+
+    def keep_pivot(ring, degree, vec):
+        out = list(reduce(ring, degree, vec))
+        p = kaehler.pivot_index(degree)
+        if p is not None:
+            out[p] = vec[p]
+        return out
+
+    monkeypatch.setattr(kaehler, "_reduce_vector", keep_pivot)
+
+
+def suite_outcomes(session) -> dict:
+    """Each suite of `check all` but `zrel`: pass, fail, or the message it raised."""
+    out = {}
+    for name in CHECK_NAMES:
+        if name != "zrel":
+            try:
+                out[name] = run_checks(session, name)[0]["status"]
+            except StructureError as exc:
+                out[name] = str(exc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "corrupt", [asymmetric_killing_entry, doubled_structure_constant, unreduced_pivot]
+)
+def test_a_seeded_corruption_is_caught_on_the_triality_conjugate_as_on_the_shipped_spec(
+    corrupt, monkeypatch
+):
+    # each session is corrupted before its first suite, so its memos hold
+    # only corrupted reads; the algebra is shared, so both are built first
+    outcomes = []
+    for session in shipped_and_conjugate("d4_triality"):
+        with monkeypatch.context() as patch:
+            corrupt(session, patch)
+            outcomes.append(suite_outcomes(session))
+    shipped, conjugate = outcomes
+    assert conjugate == shipped
+    assert any(status != "pass" for status in shipped.values())

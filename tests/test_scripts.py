@@ -65,6 +65,41 @@ def test_h2_window_scan_names_the_degrees_past_its_window():
     assert rows[-1] == "some degrees remain open"
 
 
+def test_scan_scripts_report_progress_on_stderr_only():
+    # one progress line per window on stderr; stdout is the table alone
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return proc.stdout, proc.stderr.splitlines()
+
+    stdout, progress = run("centre_growth.py", SPEC, "--max-window", "2")
+    assert progress == ["window 1/2: computing the centre", "window 2/2: computing the centre"]
+    assert stdout == (
+        "window d=1: centre 1 expected 1 ok\n"
+        "  degree [-1]: dim 0 (expected 0)\n"
+        "  degree [0]: dim 1 (expected 1)\n"
+        "  degree [1]: dim 0 (expected 0)\n"
+        "window d=2: centre 1 expected 1 ok\n"
+        "  degree [-1]: dim 0 (expected 0)\n"
+        "  degree [-2]: dim 0 (expected 0)\n"
+        "  degree [0]: dim 1 (expected 1)\n"
+        "  degree [1]: dim 0 (expected 0)\n"
+        "  degree [2]: dim 0 (expected 0)\n"
+    )
+    stdout, progress = run("h2_window_scan.py", SPEC, "--lmax", "1", "--max-window", "2")
+    assert progress == [f"lambda=[{x}] window 1/2: computing H2" for x in (-1, 0, 1)]
+    rows = stdout.splitlines()
+    assert [row.split(" [")[0] for row in rows] == [
+        "lambda=[-1] d=1: upper=0 lower=0 z2=3 b2=3 CERTIFIED",
+        "lambda=[0] d=1: upper=1 lower=1 z2=4 b2=3 CERTIFIED",
+        "lambda=[1] d=1: upper=0 lower=0 z2=3 b2=3 CERTIFIED",
+        "all degrees certified",
+    ]
+
+
 # the least window whose box |degree| <= w on SPEC (dim 3, n = 1) is over the limit
 _OVER = next(w for w in range(1, MAX_WINDOW_BASIS) if 3 * (2 * w + 1) > MAX_WINDOW_BASIS)
 _MARGIN = json.loads((ROOT / SPEC).read_text())["margin"]
