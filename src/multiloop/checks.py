@@ -30,15 +30,22 @@ def _coefficient_rows(field) -> tuple:
     return cached[1]
 
 
-def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span: int = 3) -> LaurentPoly:
+def _drawer(ring: LaurentRing, rng: random.Random, max_terms: int, span: int):
+    """A function drawing one random polynomial from rng per call: up to
+    max_terms terms with exponents in [-span, span] and coefficients k/d,
+    twisted by a power of zeta on about 3 in 10 terms over a field of degree
+    above 1.  The set-up is done once here, so a loop of draws pays for it once."""
     field = ring.field
     rows = _coefficient_rows(field)
     width = 2 * span + 1
     conductor = field.conductor
     twist = field.degree > 1
+    zeta = field.zeta
     multiples = _COEFFICIENTS[conductor][2]
     variables = range(ring.n)
     bits = rng.getrandbits
+    rand = rng.random
+    nonzero = LaurentPoly._nonzero
     # randrange and choice draw below n as random.Random._randbelow does:
     # getrandbits(n.bit_length()) until the value is below n.  Inlined, the
     # stream is the same: the term count below max_terms, each exponent below
@@ -46,42 +53,46 @@ def random_poly(ring: LaurentRing, rng: random.Random, max_terms: int = 3, span:
     # below the conductor, as `tests/golden/zrel_draws.json` pins it
     count_bits, exp_bits = max_terms.bit_length(), width.bit_length()
     zeta_bits = conductor.bit_length()
-    count = bits(count_bits)
-    while count >= max_terms:
+
+    def draw() -> LaurentPoly:
         count = bits(count_bits)
-    terms = {}
-    for _ in range(count + 1):
-        exp = []
-        for _ in variables:
-            e = bits(exp_bits)
-            while e >= width:
+        while count >= max_terms:
+            count = bits(count_bits)
+        terms = {}
+        for _ in range(count + 1):
+            exp = []
+            for _ in variables:
                 e = bits(exp_bits)
-            exp.append(e - span)
-        exp = tuple(exp)
-        k = bits(5)
-        while k >= 19:
+                while e >= width:
+                    e = bits(exp_bits)
+                exp.append(e - span)
+            exp = tuple(exp)
             k = bits(5)
-        d = bits(4)
-        while d >= 9:
+            while k >= 19:
+                k = bits(5)
             d = bits(4)
-        coeff = rows[k][d]
-        if twist and rng.random() < 0.3:
-            power = bits(zeta_bits)
-            while power >= conductor:
+            while d >= 9:
+                d = bits(4)
+            coeff = rows[k][d]
+            if twist and rand() < 0.3:
                 power = bits(zeta_bits)
-            key = (power, k, d)
-            multiple = multiples.get(key)
-            if multiple is None:
-                multiple = multiples[key] = field.zeta(power) * coeff
-            coeff = multiple
-        # a repeated exponent adds up, and a zero sum drops it
-        if exp in terms:
-            coeff = terms[exp] + coeff
-        if coeff:
-            terms[exp] = coeff
-        else:
-            terms.pop(exp, None)
-    return LaurentPoly._nonzero(ring, terms)
+                while power >= conductor:
+                    power = bits(zeta_bits)
+                key = (power, k, d)
+                multiple = multiples.get(key)
+                if multiple is None:
+                    multiple = multiples[key] = zeta(power) * coeff
+                coeff = multiple
+            # a repeated exponent adds up, and a zero sum drops it
+            if exp in terms:
+                coeff = terms[exp] + coeff
+            if coeff:
+                terms[exp] = coeff
+            else:
+                terms.pop(exp, None)
+        return nonzero(ring, terms)
+
+    return draw
 
 
 def check_jacobi(session: Session) -> dict:
@@ -136,15 +147,17 @@ def check_zrel(session: Session, count: int = 1000) -> dict:
     ring = session.ring
     rng = random.Random(session.spec.seed)
     failures = []
+    draw = _drawer(ring, rng, 3, 3)
     for i in range(count):
-        p = random_poly(ring, rng)
+        p = draw()
         if not reduce_form(differential(p)).is_zero():
             failures.append({"kind": "reduce-d", "index": i})
     one = ring.one
+    draw = _drawer(ring, rng, 2, 2)
     for i in range(count):
-        a = random_poly(ring, rng, 2, 2)
-        b = random_poly(ring, rng, 2, 2)
-        c = random_poly(ring, rng, 2, 2)
+        a = draw()
+        b = draw()
+        c = draw()
         da, db = differential(a), differential(b)
         if not reduce_form(da.scale_poly(one)).is_zero():
             failures.append({"kind": "z-a1", "index": i})

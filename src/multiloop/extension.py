@@ -39,6 +39,11 @@ def _add_scaled(target: dict, c, entries, one) -> None:
         target[t] = e if v is None else v + e
 
 
+def _equal_nonzero(left: dict, right: dict) -> bool:
+    """Whether two sparse coordinate dicts agree once their zero entries are dropped."""
+    return {q: e for q, e in left.items() if e} == {q: e for q, e in right.items() if e}
+
+
 class ExtendedElement:
     """loop part in g tensor S plus central part in Omega_S/dS."""
 
@@ -93,13 +98,11 @@ class CentralExtension:
         # window -> the failing pairs of its antisymmetry sums
         # (`_antisymmetry_failures`) and the failing triples of its cyclic sums
         # (`_cyclic_failures`); (g, residue, position) -> the nonzero component
-        # coordinates of u_g on that basis vector (`_lift_pairs`);
-        # (g, residue, residue) -> the characters of `_equivariance_sides`; all
-        # filled on first use
+        # coordinates of u_g on that basis vector (`_lift_pairs`); all filled
+        # on first use
         self._antisymmetry = {}
         self._cyclic = {}
         self._lifts = {}
-        self._characters = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -660,7 +663,9 @@ class CentralExtension:
         (`_lift_pairs`) and chi the character of g, the loop parts are
         chi(mu+nu) L [x_a, y_b] and chi(mu) chi(nu) sum_s,t L[s,a] L[t,b] [x_s, y_t];
         each class is its Killing part (the same sums over kappa) times
-        class(s^mu ds^nu).  Both sides are summed over nonzero entries only.
+        class(s^mu ds^nu).  chi is multiplicative in the degree, so
+        chi(mu+nu) = chi(mu) chi(nu) is one nonzero factor of both sides and
+        is left out.  Both sides are summed over nonzero entries only.
         Returns (loop parts equal, Killing parts equal); when an image or a
         bracket has no component coordinates, `_equivariance_sides_in_g` decides."""
         rmu, a, rnu, b = key
@@ -684,37 +689,21 @@ class CentralExtension:
                 k_rhs = k_rhs + self._add_bracket(rhs, rmu, scaled, rnu, t)
         except StructureError:  # a bracket leaves the descended algebra
             return self._equivariance_sides_in_g(g, key)
-        chis = self._characters.get((g.components, rmu, rnu))
-        if chis is None:
-            character = self.group.character
-            chis = self._characters[(g.components, rmu, rnu)] = (
-                character(g, total), character(g, rmu) * character(g, rnu)
-            )
-        chi, chi2 = chis
-        if chi != chi2:  # equal characters are one nonzero factor of both sides
-            lhs = {q: chi * e for q, e in lhs.items()}
-            rhs = {q: chi2 * e for q, e in rhs.items()}
-            kappa, k_rhs = chi * kappa, chi2 * k_rhs
-        loop_equal = {q: e for q, e in lhs.items() if e} == {q: e for q, e in rhs.items() if e}
-        return loop_equal, kappa == k_rhs
+        return _equal_nonzero(lhs, rhs), kappa == k_rhs
 
     def _equivariance_sides_in_g(self, g, key):
         """`_equivariance_sides` in g-coordinates, for a key where u_g of a side,
-        or the bracket, has no component coordinates: chi(mu+nu) u_g [x_a, y_b]
-        against chi(mu) chi(nu) [u_g x_a, u_g y_b], and chi(mu+nu) kappa(x_a, y_b)
-        against chi(mu) chi(nu) kappa(u_g x_a, u_g y_b).  kappa is read from the
-        algebra, as the pair-table fill may be what raised."""
+        or the bracket, has no component coordinates: u_g [x_a, y_b] against
+        [u_g x_a, u_g y_b], and kappa(x_a, y_b) against kappa(u_g x_a, u_g y_b),
+        without the common character factor.  kappa is read from the algebra,
+        as the pair-table fill may be what raised."""
         rmu, a, rnu, b = key
         alg, u = self.algebra, self.twisted.cocycle.value(g)
         x = list(self.twisted.eigen.component(rmu)[a])
         y = list(self.twisted.eigen.component(rnu)[b])
         ux, uy = u.apply(x), u.apply(y)
-        chi = self.group.character(g, tuple(map(add, rmu, rnu)))
-        chi2 = self.group.character(g, rmu) * self.group.character(g, rnu)
-        loop_equal = [chi * e for e in u.apply(alg.bracket(x, y))] == [
-            chi2 * e for e in alg.bracket(ux, uy)
-        ]
-        return loop_equal, chi * alg.killing(x, y) == chi2 * alg.killing(ux, uy)
+        loop_equal = u.apply(alg.bracket(x, y)) == alg.bracket(ux, uy)
+        return loop_equal, alg.killing(x, y) == alg.killing(ux, uy)
 
     def _fixed_central_dim(self, degree) -> int:
         """The slots of the classes at the degree when every g acts on them

@@ -250,12 +250,15 @@ def _reduction_plan(degree):
     """(p, steps) for eliminating the pivot slot p along the relation vector
     degree; p is None at degree 0.  Slot i loses c * (a_i / a_p), c the pivot
     entry, for each step (i, k, kd): k / kd is a_i / a_p in lowest terms with
-    kd > 0, so kd == 1 makes k the int quotient."""
+    kd > 0, so kd == 1 makes k the int quotient.  steps is None for a degree
+    with one slot, which the relation vector spans: the piece reduces to 0."""
     for p, d in enumerate(degree):
         if d:
             break
     else:
         return None, ()
+    if len(degree) == 1:
+        return p, None
     steps = []
     for i in range(p + 1, len(degree)):
         a = degree[i]
@@ -267,7 +270,8 @@ def _reduction_plan(degree):
 
 def _reduce_vector(ring, degree, vec):
     """vec with the pivot slot eliminated along the relation vector degree;
-    vec itself, not a copy, when the pivot slot is already zero."""
+    vec itself, not a copy, when the pivot slot is already zero, and the
+    ring's shared all-zero vector when it is the only slot."""
     plan = _PLANS.get(degree)
     if plan is None:
         plan = _PLANS[degree] = _reduction_plan(degree)
@@ -277,6 +281,8 @@ def _reduce_vector(ring, degree, vec):
     c = vec[p]
     if not c:
         return vec
+    if steps is None:
+        return ring._zero_vector
     # subtract (c / a_p) * degree: an int multiple of c in each slot a_p
     # divides, else c scaled by the reduced ratio
     out = list(vec)
@@ -346,14 +352,16 @@ class CentralClass(_Graded):
 def reduce_form(form: DifferentialForm) -> CentralClass:
     """Quotient map Omega_S -> Omega_S/dS in canonical coordinates."""
     ring = form.ring
+    zero = ring._zero_vector
     pieces = {}
     # the degrees are tuples and no vector of a form is all zero, so a vector
-    # the reduction leaves as it is goes in unchanged
+    # the reduction leaves as it is goes in unchanged, and the shared zero
+    # vector of a one-slot piece drops out by identity
     for degree, vec in form.pieces.items():
         out = _reduce_vector(ring, degree, vec)
         if out is vec:
             pieces[degree] = vec
-        elif any(out):
+        elif out is not zero and any(out):
             pieces[degree] = tuple(out)
     cls = _new(CentralClass)
     cls.ring = ring

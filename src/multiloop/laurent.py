@@ -113,6 +113,9 @@ class LaurentRing:
         self._units = tuple(
             tuple(int(j == i) for j in range(self.n)) for i in range(self.n)
         )
+        # the all-zero coefficient vector, made once: `kaehler._reduce_vector`
+        # returns it for every one-slot piece it reduces to zero
+        self._zero_vector = (field.zero,) * self.n
         self.zero = LaurentPoly(self, {})
         self.one = LaurentPoly(self, {(0,) * self.n: field.one})
 

@@ -1,5 +1,6 @@
 import pytest
 
+from multiloop import checks
 from multiloop.descent import LoopElement
 from multiloop.kaehler import invariant_matches_base_image_at
 from multiloop.laurent import GaloisElement, LaurentPoly, box_degrees
@@ -43,6 +44,12 @@ def from_terms(ring, terms) -> LaurentPoly:
         elif exp in out:
             del out[exp]
     return LaurentPoly(ring, out)
+
+
+def random_poly(ring, rng, max_terms: int = 3, span: int = 3) -> LaurentPoly:
+    """One polynomial of `check_zrel`'s draw stream, from a drawer made for it
+    alone; `check_zrel` makes one drawer per loop, and both read the same bits."""
+    return checks._drawer(ring, rng, max_terms, span)()
 
 
 def invariant_matches_base_image(ring, window: int) -> bool:

@@ -100,6 +100,41 @@ def test_scan_scripts_report_progress_on_stderr_only():
     ]
 
 
+def test_window_ladder_stops_a_suite_at_its_first_window_over_the_budget():
+    from multiloop.checks import CHECK_NAMES
+
+    def ladder(*argv):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "window_ladder.py"),
+             "--specs", "a1_untwisted_n1", "--windows", "2,1", *argv],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["windows"] == [1, 2] and list(report["specs"]) == ["a1_untwisted_n1"]
+        suites = report["specs"]["a1_untwisted_n1"]
+        assert list(suites) == list(CHECK_NAMES)
+        return report, suites, proc.stderr.splitlines()
+
+    # no process starts and finishes in a millisecond: every suite stops at
+    # window 1, and window 2 is never run
+    report, suites, progress = ladder("--budget", "0.001")
+    assert report["budget_s"] == 0.001
+    assert progress == [f"a1_untwisted_n1 {suite} window 1" for suite in CHECK_NAMES]
+    for entry in suites.values():
+        assert entry == {
+            "seconds": {},
+            "largest_window": None,
+            "stopped": {"window": 1, "exit": None, "reason": "over the 0.001 s budget"},
+        }
+    # within the default budget every suite runs and passes both windows
+    report, suites, progress = ladder()
+    assert report["budget_s"] == 60
+    for entry in suites.values():
+        assert sorted(entry["seconds"]) == ["1", "2"] and min(entry["seconds"].values()) > 0
+        assert entry["largest_window"] == 2 and entry["stopped"] is None
+
+
 # the least window whose box |degree| <= w on SPEC (dim 3, n = 1) is over the limit
 _OVER = next(w for w in range(1, MAX_WINDOW_BASIS) if 3 * (2 * w + 1) > MAX_WINDOW_BASIS)
 _MARGIN = json.loads((ROOT / SPEC).read_text())["margin"]
@@ -122,11 +157,15 @@ _MARGIN = json.loads((ROOT / SPEC).read_text())["margin"]
          f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"),
         (["h2_window_scan.py", SPEC, "--max-window", str(_OVER)],
          f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"),
+        (["window_ladder.py", "--windows", "0,4"], "--windows must be positive integers"),
+        (["window_ladder.py", "--budget", "0"], "--budget must be > 0, got 0"),
+        (["window_ladder.py", "--specs", "missing"], "unknown spec 'missing'"),
     ],
     ids=[
         "run_verification-window-1", "run_verification-window0", "centre_growth-max-window0",
         "h2_window_scan-lmax-1", "missing-spec", "run_verification-over-limit",
-        "centre_growth-over-limit", "h2_window_scan-over-limit",
+        "centre_growth-over-limit", "h2_window_scan-over-limit", "window_ladder-window0",
+        "window_ladder-budget0", "window_ladder-missing-spec",
     ],
 )
 def test_script_refuses_with_the_cli_contract(argv, message):

@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 from multiloop import checks, kaehler
-from multiloop.checks import check_zrel, random_poly
+from multiloop.checks import check_zrel
 from multiloop.cyclotomic import CyclotomicField
 from multiloop.kaehler import DifferentialForm
 from multiloop.laurent import LaurentPoly, LaurentRing
 from multiloop.session import Session, load_spec
 
-from tests.conftest import from_terms
+from tests.conftest import from_terms, random_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 DRAWS = Path(__file__).resolve().parent / "golden" / "zrel_draws.json"
@@ -37,8 +37,10 @@ def zrel_draws(session: Session, pinned: int = PINNED) -> dict:
     """str of the first draws of check_zrel's first loop and of its second loop."""
     ring = session.ring
     rng = random.Random(session.spec.seed)
-    loop1 = [random_poly(ring, rng) for _ in range(ZREL_COUNT)]
-    loop2 = [random_poly(ring, rng, max_terms=2, span=2) for _ in range(pinned)]
+    draw = checks._drawer(ring, rng, 3, 3)
+    loop1 = [draw() for _ in range(ZREL_COUNT)]
+    draw = checks._drawer(ring, rng, 2, 2)
+    loop2 = [draw() for _ in range(pinned)]
     return {"loop1": [str(p) for p in loop1[:pinned]], "loop2": [str(p) for p in loop2]}
 
 
@@ -53,7 +55,7 @@ def test_zrel_draw_stream_is_pinned(spec):
 
 
 def choice_random_poly(ring, rng, max_terms=3, span=3):
-    """random_poly through rng.choice and rng.randrange: the reference for the
+    """One draw through rng.choice and rng.randrange: the reference for the
     raw-bit draws, which must read the same stream."""
     field = ring.field
     rows = checks._coefficient_rows(field)
@@ -73,11 +75,19 @@ def choice_random_poly(ring, rng, max_terms=3, span=3):
     return LaurentPoly._nonzero(ring, terms)
 
 
-def zrel_stream(ring, rng, draw):
-    """Every draw of a check_zrel run, in order: one per first-loop round,
-    then a, b and c per second-loop round."""
-    out = [draw(ring, rng) for _ in range(ZREL_COUNT)]
-    out += [draw(ring, rng, max_terms=2, span=2) for _ in range(3 * ZREL_COUNT)]
+def per_call(draw_one):
+    """A drawer that draws each polynomial with draw_one(ring, rng, max_terms, span)."""
+    return lambda ring, rng, max_terms, span: lambda: draw_one(ring, rng, max_terms, span)
+
+
+def zrel_stream(ring, rng, drawer):
+    """Every draw of a check_zrel run, in order, made as it makes them: one
+    drawer for the first loop, one polynomial per round, then one for the
+    second loop, a, b and c per round, both on rng."""
+    draw = drawer(ring, rng, 3, 3)
+    out = [draw() for _ in range(ZREL_COUNT)]
+    draw = drawer(ring, rng, 2, 2)
+    out += [draw() for _ in range(3 * ZREL_COUNT)]
     return [p.terms for p in out]
 
 
@@ -90,8 +100,13 @@ def test_raw_bit_draws_read_the_stream_as_choice_and_randrange(spec, seed):
     else:
         ring = load_session(spec).ring
     fast, reference = random.Random(seed), random.Random(seed)
-    assert zrel_stream(ring, fast, random_poly) == zrel_stream(ring, reference, choice_random_poly)
+    stream = zrel_stream(ring, fast, checks._drawer)
+    assert stream == zrel_stream(ring, reference, per_call(choice_random_poly))
     assert fast.getstate() == reference.getstate()
+    # a drawer's set-up reads no bits: a new drawer per draw gives the same stream
+    single = random.Random(seed)
+    assert zrel_stream(ring, single, per_call(random_poly)) == stream
+    assert single.getstate() == fast.getstate()
 
 
 # calls per (first-loop draw, second-loop draw) pair: d of p, a, b and c;

@@ -1,6 +1,7 @@
 """The arithmetic `zrel` runs on equals the plain routines it replaced.
 
-`kaehler._reduce_vector` reads a reduction plan memoised per degree, and
+`kaehler._reduce_vector` reads a reduction plan memoised per degree and
+returns one shared zero vector for a one-slot piece it reduces to zero, and
 `differential`, `DifferentialForm.scale_poly`, `_add_pieces` and
 `LaurentPoly.__mul__` were rewritten for per-call speed.  The plain routines
 they replaced are kept here as references, and the fast ones must give the
@@ -16,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from multiloop import kaehler
-from multiloop.checks import random_poly
+from multiloop import checks, kaehler
 from multiloop.cyclotomic import CyclotomicField
 from multiloop.kaehler import DifferentialForm, differential
 from multiloop.laurent import LaurentRing, box_degrees
@@ -54,6 +54,17 @@ def reference_reduce_vector(ring, degree, vec):
             else:
                 out[i] = vec[i] - c * q
     out[p] = ring.field.zero
+    return out
+
+
+def reference_reduce_form(form) -> dict:
+    """The pieces of a form's class: each piece reduced by the reference, the
+    all-zero ones dropped."""
+    out = {}
+    for degree, vec in form.pieces.items():
+        reduced = tuple(reference_reduce_vector(form.ring, degree, vec))
+        if any(reduced):
+            out[degree] = reduced
     return out
 
 
@@ -126,12 +137,20 @@ def reference_mul(p, q) -> dict:
 # -- comparisons ----------------------------------------------------------------
 
 
-def assert_reduces_as_reference(ring, degree, vec):
+def assert_reduces_as_reference(ring, degree, vec) -> bool:
+    """Whether the reduction gave the ring's shared zero vector, after
+    comparing it with the reference."""
     fast = kaehler._reduce_vector(ring, degree, vec)
     reference = reference_reduce_vector(ring, degree, vec)
     assert tuple(fast) == tuple(reference), (degree, vec)
     # reduce_form keeps a vector the reduction leaves as it is, by identity
     assert (fast is vec) == (reference is vec), (degree, vec)
+    # and drops the shared zero vector by identity, which exactly a one-slot
+    # piece with a nonzero pivot entry reduces to
+    p = kaehler.pivot_index(degree)
+    shared = fast is ring._zero_vector
+    assert shared == (ring.n == 1 and p is not None and bool(vec[p])), (degree, vec)
+    return shared
 
 
 def assert_form_arithmetic_as_reference(a, b):
@@ -151,6 +170,7 @@ def assert_form_arithmetic_as_reference(a, b):
     for form in forms:
         for degree, vec in form.pieces.items():
             assert_reduces_as_reference(ring, degree, vec)
+        assert kaehler.reduce_form(form).pieces == reference_reduce_form(form)
     lhs, rhs = kaehler.reduce_form(forms[1]), kaehler.reduce_form(forms[2])
     for x, y in ((lhs, rhs), (rhs, lhs), (lhs, -lhs), (lhs, kaehler.CentralClass.zero(ring))):
         assert (x + y).pieces == reference_add_pieces(x.pieces, y.pieces)
@@ -187,20 +207,23 @@ def test_reduce_vector_equals_the_reference_on_every_degree_of_the_box(name):
     ring = BOX_RINGS[name]
     field, n = ring.field, ring.n
     scalars = box_scalars(field)
-    seen = set()
+    assert ring._zero_vector == (field.zero,) * n
+    seen, shared = set(), 0
     for degree in box_degrees(n, BOX):
         p = kaehler.pivot_index(degree)
         for shift in range(len(scalars)):
             full = tuple(scalars[(shift + i) % len(scalars)] for i in range(n))
-            assert_reduces_as_reference(ring, degree, full)
+            shared += assert_reduces_as_reference(ring, degree, full)
             # a zero pivot slot, and a zero slot past the pivot
             for hole in {0 if p is None else p, n - 1}:
                 vec = tuple(field.zero if i == hole else x for i, x in enumerate(full))
                 if any(vec):
-                    assert_reduces_as_reference(ring, degree, vec)
+                    shared += assert_reduces_as_reference(ring, degree, vec)
         if p is not None:
             seen.add((degree[p] < 0, any(degree[i] % degree[p] for i in range(p + 1, n))))
     assert degree == (BOX,) * n
+    # one variable: every nonzero degree, with each nonzero scalar
+    assert shared == (2 * BOX * len(scalars) if n == 1 else 0)
     if n > 1:
         # negative and positive pivots, ratios that do and do not divide
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
@@ -239,12 +262,12 @@ def draw_rings():
 def test_zrel_second_loop_arithmetic_equals_the_reference(name, draw_rings):
     ring = draw_rings[name]
     rng = random.Random(0)
+    draw = checks._drawer(ring, rng, 3, 3)
     for _ in range(FIRST_LOOP):
-        random_poly(ring, rng)
+        draw()
+    draw = checks._drawer(ring, rng, 2, 2)
     for _ in range(DRAWS):
-        a = random_poly(ring, rng, 2, 2)
-        b = random_poly(ring, rng, 2, 2)
-        c = random_poly(ring, rng, 2, 2)
+        a, b, c = draw(), draw(), draw()
         for x, y in ((a, b), (b, c), (c, a)):
             assert_form_arithmetic_as_reference(x, y)
         # the z-cyclic sum, as check_zrel forms it
