@@ -178,7 +178,27 @@ class DifferentialForm(_Graded):
         if p.ring is not ring and p.ring != ring:
             raise MismatchError("Laurent polynomial from a different ring")
         out = {}
-        if len(terms) == 1:
+        if ring.n == 1:
+            # one variable: degrees and exponents come out of their 1-tuples
+            # and add as ints, and a stored vector is one nonzero entry
+            if len(terms) == 1:
+                (((e,), c),) = terms.items()
+                if not e and c == ring.field.one:
+                    return self
+            pieces = self.pieces.items()
+            for (e,), c in terms.items():
+                for (d,), (x,) in pieces:
+                    shifted = (d + e,)
+                    cur = out.get(shifted)
+                    if cur is None:
+                        out[shifted] = (x * c,)
+                    else:
+                        total = cur[0] + x * c
+                        if total:
+                            out[shifted] = (total,)
+                        else:
+                            del out[shifted]
+        elif len(terms) == 1:
             ((e, c),) = terms.items()
             if not any(e) and c == ring.field.one:
                 return self
@@ -215,12 +235,18 @@ class DifferentialForm(_Graded):
 def differential(p: LaurentPoly) -> DifferentialForm:
     """d(c s^alpha) = c alpha at degree alpha, extended linearly; constants give 0."""
     ring = p.ring
-    zero = ring.field.zero
     # distinct alpha give distinct degrees, and c * a != 0 for c != 0, a != 0
     pieces = {}
-    for alpha, c in p.terms.items():
-        if any(alpha):
-            pieces[alpha] = tuple([(c if a == 1 else c * a) if a else zero for a in alpha])
+    if ring.n == 1:
+        for alpha, c in p.terms.items():
+            (a,) = alpha
+            if a:
+                pieces[alpha] = (c if a == 1 else c * a,)
+    else:
+        zero = ring.field.zero
+        for alpha, c in p.terms.items():
+            if any(alpha):
+                pieces[alpha] = tuple([(c if a == 1 else c * a) if a else zero for a in alpha])
     form = _new(DifferentialForm)
     form.ring = ring
     form.pieces = pieces

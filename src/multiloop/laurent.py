@@ -211,7 +211,21 @@ class LaurentPoly:
                 return NotImplemented
         terms, other_terms = self.terms, other.terms
         out = {}
-        if len(terms) == 1 == len(other_terms):
+        if self.ring.n == 1:
+            # one variable: exponents come out of their 1-tuples and add as ints
+            for (e1,), c1 in terms.items():
+                for (e2,), c2 in other_terms.items():
+                    e = (e1 + e2,)
+                    v = out.get(e)
+                    if v is None:
+                        out[e] = c1 * c2
+                    else:
+                        v = v + c1 * c2
+                        if v:
+                            out[e] = v
+                        else:
+                            del out[e]
+        elif len(terms) == 1 == len(other_terms):
             ((e1, c1),) = terms.items()
             ((e2, c2),) = other_terms.items()
             out[tuple(map(add, e1, e2))] = c1 * c2

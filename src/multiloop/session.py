@@ -27,11 +27,13 @@ VALID_FAMILIES = "ABCDEFG"
 MAX_CONDUCTOR = 60
 # the largest dim g a spec may declare, that of E8: set-up grows steeply with it
 MAX_DIM = 248
-# the largest window basis a spec may ask for, dim g times the (2w + 1)^n
-# degrees of the box |degree| <= w, at w = window + margin (the perfectness
-# factors) or at a generator window: the suites and the H2 assembly walk pairs
-# and triples of it, so a window of 10**9 or a thousand loop variables never
-# finishes.  2**15 admits A2 in two variables at window 24, 8 * 51**2 = 20,808.
+# the largest window a spec may ask for, at w = window + margin (the
+# perfectness factors) or at a generator window, on two counts: the (2w + 1)^n
+# degrees of the box |degree| <= w, and its basis, at most dim g * prod_i
+# ceil((2w + 1) / m_i) vectors.  The suites and the H2 assembly walk the degrees
+# and pairs and triples of the basis, so a window of 10**9 or a thousand loop
+# variables never finishes, whatever the loop orders.  2**15 admits A2 in two
+# variables at window 24, 8 * 51**2 = 20,808 basis vectors.
 MAX_WINDOW_BASIS = 2**15
 
 
@@ -143,19 +145,30 @@ class SessionSpec:
             return None
 
     def check_window(self, window: int):
-        """Refuse a window whose basis, dim g times (2 window + 1)^n at most, is
-        over MAX_WINDOW_BASIS, before anything is built."""
+        """Refuse a window over MAX_WINDOW_BASIS, before anything is built: the
+        box |degree| <= window has (2 window + 1)^n degrees, and its basis at
+        most dim g * prod_i ceil((2 window + 1) / m_i) vectors, as the box
+        holds at most ceil((2 window + 1) / m_i) values of degree_i in one
+        residue mod m_i and the components of the residues split g."""
         size = self._dim()
         if size is None:
             return
-        for _ in self.orders:  # stops at the first factor over the limit
-            size *= 2 * window + 1
+        width = 2 * window + 1
+        n = len(self.orders)
+        degrees = 1
+        for m in self.orders:  # stops at the first factor over the limit
+            size *= -(-width // m)
+            degrees *= width
             if size > MAX_WINDOW_BASIS:
-                n = len(self.orders)
                 raise SpecError(
-                    f"the box |degree| <= {window} of {self.family}{self.rank} with n = {n} "
-                    f"has up to dim g * {2 * window + 1}^{n} basis vectors, "
-                    f"over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"
+                    f"the box |degree| <= {window} of {self.family}{self.rank} with "
+                    f"n = {n} has up to dim g * prod_i ceil({width} / m_i) "
+                    f"basis vectors, over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"
+                )
+            if degrees > MAX_WINDOW_BASIS:
+                raise SpecError(
+                    f"the box |degree| <= {window} with n = {n} has {width}^{n} "
+                    f"degrees, over MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"
                 )
 
     def to_dict(self) -> dict:

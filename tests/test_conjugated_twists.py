@@ -15,8 +15,9 @@ import random
 import pytest
 
 from multiloop import kaehler
+from multiloop import session as session_module
 from multiloop.checks import CHECK_NAMES, h2_report, run_checks
-from multiloop.errors import StructureError
+from multiloop.errors import SpecError, StructureError
 from multiloop.laurent import box_degrees
 from multiloop.session import Session, SessionSpec, load_spec
 from tests.test_extension import (
@@ -127,6 +128,20 @@ def test_fixed_spaces_from_the_generators_equal_the_all_elements_reference(name)
     for tw in (session.twisted, conjugate.twisted):
         for degree in box_degrees(tw.ring.n, 2):  # the window-2 box holds the window-1 box
             assert tw.component_direct(degree) == reference_component_direct(tw, degree)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SPECS)
+def test_the_window_bound_holds_the_window_basis(name, monkeypatch):
+    # the residues split g and a box holds at most ceil((2w + 1) / m_i) values
+    # of degree_i in one residue, on the shipped twist and on its conjugate:
+    # with the limit one under the basis, check_window must refuse the window
+    session, conjugate = shipped_and_conjugate(name)
+    for s in (session, conjugate):
+        for window in (1, 2, 3, 5, 8):
+            limit = len(s.twisted.window_basis(window)) - 1
+            monkeypatch.setattr(session_module, "MAX_WINDOW_BASIS", limit)
+            with pytest.raises(SpecError, match=f"MAX_WINDOW_BASIS = {limit}"):
+                s.spec.check_window(window)
 
 
 def asymmetric_killing_entry(session, monkeypatch):

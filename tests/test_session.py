@@ -233,11 +233,14 @@ def test_dimension_at_most_the_limit_passes_validate(family, rank):
         {"margin": 10**9},
         {"autos": [{"kind": "identity"}] * 1000, "orders": [1] * 1000},
         {"algebra": {"family": "E", "rank": 8}, "window": 100},
+        # large loop orders shrink the basis bound, not the degrees of the box
+        {"autos": [{"kind": "identity"}] * 1000, "orders": [7] * 1000},
+        {"orders": [60, 60], "autos": [{"kind": "identity"}] * 2, "window": 1000},
     ],
 )
 def test_window_box_over_the_limit_is_refused(change):
     # refused in validate, before any field or algebra is built: the suites
-    # walk pairs and triples of the (2w + 1)^n degrees of the box
+    # walk the (2w + 1)^n degrees of the box and pairs and triples of its basis
     data = {**_identity_spec("A", 1), **change}
     start = time.perf_counter()
     with pytest.raises(SpecError, match=f"MAX_WINDOW_BASIS = {MAX_WINDOW_BASIS}"):
@@ -275,6 +278,7 @@ SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
         ("a2_bitwist", 24, 1),
         ("a1_untwisted_n2", 24, 1),
         ("d4_bitwist", 8, 1),
+        ("d4_bitwist", 24, 1),
         ("d4_triality", 2, 1),
     ],
 )

@@ -3,11 +3,13 @@
 `kaehler._reduce_vector` reads a reduction plan memoised per degree and
 returns one shared zero vector for a one-slot piece it reduces to zero, and
 `differential`, `DifferentialForm.scale_poly`, `_add_pieces` and
-`LaurentPoly.__mul__` were rewritten for per-call speed.  The plain routines
-they replaced are kept here as references, and the fast ones must give the
-same pieces and terms, element for element, on two sets of inputs: every
-degree of a box in one, two and three variables, and the first second-loop
-draws of `check_zrel` on every shipped spec and on a Q(zeta12) ring.
+`LaurentPoly.__mul__` were rewritten for per-call speed; in one variable the
+last three add exponents as ints.  The plain routines they replaced are kept
+here as references, and the fast ones must give the same pieces and terms,
+element for element, on two sets of inputs: every degree of a box in one,
+two and three variables, with a product and a scaled form at each degree in
+which two contributions cancel, and the first second-loop draws of
+`check_zrel` on every shipped spec and on a Q(zeta12) ring.
 """
 
 import random
@@ -178,6 +180,26 @@ def assert_form_arithmetic_as_reference(a, b):
         assert (x + y).pieces == reference_add_pieces(x.pieces, y.pieces)
 
 
+def assert_cancellations_as_reference(ring, degree, c, u):
+    """A product and a scaled form in which two contributions at one degree
+    cancel exactly, against their references: the cancelled degree is absent."""
+    origin = (0,) * ring.n
+    double = tuple(2 * a for a in degree)
+    mono = ring.monomial(degree)
+    # (s^alpha + c)(s^alpha - c) = s^(2 alpha) - c^2: c s^alpha - c s^alpha cancels
+    a, b = mono + ring.monomial(origin, c), mono - ring.monomial(origin, c)
+    ab = a * b
+    assert ab.terms == reference_mul(a, b)
+    assert set(ab.terms) == {double, origin}
+    # d(c s^alpha) + d(u s^(2 alpha)) is c alpha at alpha and 2 u alpha at
+    # 2 alpha; s^alpha - c / (2u) moves c alpha onto 2 alpha, where it cancels
+    form = differential(ring.monomial(degree, c)) + differential(ring.monomial(double, u))
+    p = mono + ring.monomial(origin, -c / (2 * u))
+    scaled = form.scale_poly(p)
+    assert scaled.pieces == reference_scale_poly(form, p)
+    assert set(scaled.pieces) == {degree, tuple(3 * a for a in degree)}
+
+
 # -- every degree of the box ----------------------------------------------------
 
 
@@ -242,6 +264,8 @@ def test_form_arithmetic_equals_the_reference_on_every_degree_of_the_box(name):
         assert_form_arithmetic_as_reference(mono, partner)
         assert_form_arithmetic_as_reference(partner, two)
         assert_form_arithmetic_as_reference(two, mono)
+        if any(degree):
+            assert_cancellations_as_reference(ring, degree, c, scalars[(i + 1) % len(scalars)])
 
 
 # -- the first second-loop draws of check_zrel ----------------------------------
