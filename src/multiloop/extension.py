@@ -11,7 +11,8 @@ algebra by the base-lattice classes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb
+from itertools import combinations, product
+from math import comb, gcd
 from operator import add
 
 from . import linalg
@@ -37,6 +38,13 @@ def _add_scaled(target: dict, c, entries, one) -> None:
             e = c * e
         v = target.get(t)
         target[t] = e if v is None else v + e
+
+
+def _nonzero_class(mu, nu) -> bool:
+    """Whether class(s^mu ds^nu), the vector nu at mu + nu modulo the line
+    through mu + nu, is nonzero: nu is not parallel to mu, or nu = -mu != 0."""
+    parallel = all(m1 * n2 == m2 * n1 for (m1, n1), (m2, n2) in combinations(zip(mu, nu), 2))
+    return not parallel or (any(mu) and all(a == -b for a, b in zip(mu, nu)))
 
 
 def _equal_nonzero(left: dict, right: dict) -> bool:
@@ -465,7 +473,7 @@ class CentralExtension:
             if rg in nonzero or not tw.component_dim(gdeg):
                 continue
             firsts.setdefault(rg, gdeg)
-            if not self.cocycle_class_of_pair(degree, gdeg).is_zero():
+            if _nonzero_class(degree, gdeg):
                 nonzero[rg] = gdeg
         gens = sorted({(d, tw.residue(d)) for d in (*firsts.values(), *nonzero.values())})
         rdeg = tw.residue(degree)
@@ -493,9 +501,7 @@ class CentralExtension:
         witnesses, uncovered = [], []
         tw = self.twisted
         field = self.field
-        # (residue, residue, whether the degrees are equal) -> whether a kappa of
-        # the pairs of such a block is nonzero, once every pair has been read
-        kappa_blocks = {}
+        across = None  # `_kappa_across_residues`, read at the first degree that needs it
         for degree in box_degrees(self.ring.n, window):
             # the loop basis, then the class basis: target t is the t-th unit vector
             slots = central_slots(self.ring, degree)
@@ -504,30 +510,25 @@ class CentralExtension:
             if not targets:
                 continue
             # pairs (a, b) with a before b in window_basis(big), [a, b] of this
-            # degree, and their vectors, until they span every target: a later
-            # vector is dependent and gets coefficient 0 in every witness
+            # degree, and their vectors, block by block until they span every target
             pairs, solver = [], linalg.SpanSolver(field)
             for adeg, bdeg, adim, bdim in tw.pair_blocks(degree, big):
                 ra, rb = tw.residue(adeg), tw.residue(bdeg)
-                block = (ra, rb, adeg == bdeg)
-                if solver.dim == len(targets) and block in kappa_blocks:
-                    # `_pair_coords` raises on a pair here exactly when a kappa of
-                    # the block is nonzero, the degree has no slots and the class is nonzero
-                    if kappa_blocks[block] and not slots and not (
-                        self.cocycle_class_of_pair(adeg, bdeg).is_zero()
-                    ):
+                if solver.dim == len(targets):
+                    # a later pair raises in `_pair_coords` only at a degree without slots
+                    if across is None and not slots:
+                        across = self._kappa_across_residues()
+                    if slots or not across:
+                        break
+                    if (ra, rb) in across and _nonzero_class(adeg, bdeg):
                         raise StructureError(f"central degree {degree} is not base-invariant")
                     continue
-                kappa = False
                 for apos in range(adim):
                     for bpos in range(apos if bdeg == adeg else 0, bdim):
-                        key = (ra, apos, rb, bpos)
-                        vec = self._pair_coords(adeg, bdeg, key)
-                        kappa = kappa or bool(tw.pair_at(key)[1])
+                        vec = self._pair_coords(adeg, bdeg, (ra, apos, rb, bpos))
                         if solver.dim < len(targets) and any(vec):
                             pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
                             solver.add(vec)
-                kappa_blocks[block] = kappa
             for t, (kind, pos) in enumerate(targets):
                 unit = [field.zero] * len(targets)
                 unit[t] = field.one
@@ -550,6 +551,16 @@ class CentralExtension:
             "covered": len(witnesses),
             "uncovered": uncovered,
             "witnesses": witnesses,
+        }
+
+    def _kappa_across_residues(self):
+        """The residue pairs (r, s), r + s not residue 0, with a nonzero kappa on
+        some key (r, a, s, b) of the pair table: the pairs `_pair_coords` may raise on."""
+        tw, dims = self.twisted, self.twisted.eigen.dims().items()
+        return {
+            (r, s) for (r, dr), (s, ds) in product(dims, dims)
+            if any(tw.residue(map(add, r, s)))
+            and any(tw.pair_at((r, a, s, b))[1] for a in range(dr) for b in range(ds))
         }
 
     def decomposition(self, window: int) -> dict:
@@ -624,11 +635,8 @@ class CentralExtension:
                     if loop_equal and kappa_equal:
                         continue
                     for i in xs:
-                        mu = basis[i][0]
                         for j in ys[bisect_right(ys, i):]:
-                            if not loop_equal or not self.cocycle_class_of_pair(
-                                mu, basis[j][0]
-                            ).is_zero():
+                            if not loop_equal or _nonzero_class(basis[i][0], basis[j][0]):
                                 broken.append((i, j))
             broken.sort()
             failures.extend(
@@ -736,54 +744,49 @@ class CentralExtension:
     def base_ring_pairs(self, window: int) -> dict:
         """Eigen-adapted pairs with nonzero invariant class must multiply into R.
 
-        For pairs (x (x) s^a, y (x) s^b) with class(s^a d s^b) a nonzero
-        base-lattice class: s^(a+b) must lie in the base ring and [x,y] in the
+        For pairs (x (x) s^mu, y (x) s^nu) with class(s^mu ds^nu) a nonzero
+        base-lattice class: s^(mu+nu) must lie in the base ring and [x,y] in the
         fixed subalgebra.  Any violation would signal an implementation bug.
 
-        [x, y] is read from the pair table once per key: it lies in g_0 when
-        it has coordinates in the component at a + b and a + b has residue 0,
-        or when it is 0; the fill raises when it has no such coordinates.
+        Such a nu has residue -residue(mu), so s^(mu+nu) lies in R; [x_a, y_b] is in
+        g_0 when the pair-table fill gives it coordinates, decided once per key.
+        The kept nu after mu are counted, and listed only for the keys off g_0.
         """
         tw = self.twisted
-        basis = tw.window_basis(window)
-        in_g0 = {}  # (residue, a, residue, b) -> whether [x_a, y_b] lies in g_0
-        # (mu, nu) -> None when class(s^mu ds^nu) is zero or leaves the base
-        # lattice, else whether s^(mu+nu) lies in the base ring
-        in_r = {}
-        failures = []
-        checked = 0
-        for i, (adeg, apos, _) in enumerate(basis):
-            for bdeg, bpos, _ in basis[i:]:
-                degrees = (adeg, bdeg)
-                if degrees in in_r:
-                    product_in_r = in_r[degrees]
-                else:
-                    cls = self.cocycle_class_of_pair(adeg, bdeg)
-                    product_in_r = in_r[degrees] = (
-                        self.ring.in_base_lattice(tuple(map(add, adeg, bdeg)))
-                        if cls and cls.in_base_part()
-                        else None
-                    )
-                if product_in_r is None:
-                    continue
-                checked += 1
-                key = (tw.residue(adeg), apos, tw.residue(bdeg), bpos)
-                if key not in in_g0:
+        degrees = box_degrees(self.ring.n, window)
+        by_residue = {}  # residue -> its degrees in box order
+        for degree in degrees:
+            by_residue.setdefault(tw.residue(degree), []).append(degree)
+        off_g0 = {}  # residue r -> the (a, b) whose fill raises on (r, a, -r, b)
+        failures, checked = [], 0
+        for mu in filter(any, degrees):  # the class is 0 at mu = 0
+            rmu, rnu = tw.residue(mu), tw.residue([-a for a in mu])
+            dmu, dnu = tw.component_dim(rmu), tw.component_dim(rnu)
+            partners = by_residue[rnu]
+            after = bisect_right(partners, mu)
+            g = gcd(*mu)  # the line through mu in the box: t * mu / g, |t| <= top
+            top = window * g // max(map(abs, mu))
+            kept = len(partners) - after - sum(
+                nu > mu and tw.residue(nu) == rnu and not _nonzero_class(mu, nu)
+                for nu in (tuple(t * a // g for a in mu) for t in range(-top, top + 1))
+            )
+            if not (kept and dmu and dnu):
+                continue
+            checked += kept * dmu * dnu
+            if rmu not in off_g0:
+                off_g0[rmu] = set()
+                for a, b in product(range(dmu), range(dnu)):
                     try:
-                        coords = tw._pair_bracket(adeg, apos, bdeg, bpos)
-                    except StructureError:  # [x_a, y_b] leaves the component at a + b
-                        in_g0[key] = False
-                    else:  # a nonzero bracket at a residue other than 0 is off g_0
-                        in_g0[key] = not (coords and any(tw.residue(tuple(map(add, *degrees)))))
-                bracket_in_g0 = in_g0[key]
-                if not (product_in_r and bracket_in_g0):
-                    failures.append(
-                        {
-                            "pair": [[list(adeg), apos], [list(bdeg), bpos]],
-                            "product_in_base": product_in_r,
-                            "bracket_in_fixed": bracket_in_g0,
-                        }
-                    )
+                        tw._pair_bracket(rmu, a, rnu, b)
+                    except StructureError:  # [x_a, y_b] has no coordinates in g_0
+                        off_g0[rmu].add((a, b))
+            off = off_g0[rmu]
+            nus = [nu for nu in partners[after:] if _nonzero_class(mu, nu)] if off else ()
+            failures.extend(
+                {"pair": [[list(mu), a], [list(nu), b]], "product_in_base": True,
+                 "bracket_in_fixed": False}
+                for a in range(dmu) for nu in nus for b in range(dnu) if (a, b) in off
+            )
         return {
             "passed": not failures,
             "window": window,

@@ -354,10 +354,6 @@ class CentralClass(_Graded):
         vec[index] = ring.field.one
         return cls(ring, {degree: vec}, reduced=True)
 
-    def in_base_part(self) -> bool:
-        """True iff every supported degree lies in the base lattice mZ^n."""
-        return all(self.ring.in_base_lattice(d) for d in self.pieces)
-
     def to_text(self) -> str:
         """Readable sum of surviving generators, e.g. "2 * s^(-1) ds1 (mod dS)"."""
         parts = []

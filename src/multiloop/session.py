@@ -29,11 +29,11 @@ MAX_CONDUCTOR = 60
 MAX_DIM = 248
 # the largest window a spec may ask for, at w = window + margin (the
 # perfectness factors) or at a generator window, on two counts: the (2w + 1)^n
-# degrees of the box |degree| <= w, and its basis, at most dim g * prod_i
-# ceil((2w + 1) / m_i) vectors.  The suites and the H2 assembly walk the degrees
-# and pairs and triples of the basis, so a window of 10**9 or a thousand loop
-# variables never finishes, whatever the loop orders.  2**15 admits A2 in two
-# variables at window 24, 8 * 51**2 = 20,808 basis vectors.
+# degrees of the box |degree| <= w, which every suite walks, and its basis, at
+# most dim g * prod_i ceil((2w + 1) / m_i) vectors, which `jacobi` and the H2
+# assembly walk in pairs, so a window of 10**9 or a thousand loop variables
+# never finishes, whatever the loop orders.  2**15 admits A2 in two variables
+# at window 24, 8 * 51**2 = 20,808 basis vectors.
 MAX_WINDOW_BASIS = 2**15
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from multiloop import descent, linalg
 from multiloop.errors import MismatchError, StructureError
-from multiloop.extension import CentralExtension, ExtendedElement
+from multiloop.extension import CentralExtension, ExtendedElement, _nonzero_class
 from multiloop.kaehler import (
     CentralClass,
     central_slots,
@@ -189,7 +189,7 @@ def test_base_ring_pair_instance(a2_twisted):
     from multiloop.kaehler import differential, reduce_form
 
     cls = reduce_form(differential(ring.s(0, -1)).scale_poly(ring.s(0)))
-    assert not cls.is_zero() and cls.in_base_part()
+    assert not cls.is_zero() and in_base_part(cls)
     assert in_base_ring(ring.s(0) * ring.s(0, -1))
     for x in tw.eigen.component((1,)):
         for y in tw.eigen.component((1,)):
@@ -620,6 +620,11 @@ def in_g0(tw, gvec) -> bool:
     return tw.component_coords((0,) * tw.ring.n, gvec) is not None
 
 
+def in_base_part(cls) -> bool:
+    """Whether every degree of a class lies in the base lattice."""
+    return all(cls.ring.in_base_lattice(d) for d in cls.pieces)
+
+
 def reference_base_ring_pairs(ext, window):
     """The per-pair `base_ring_pairs`: each window pair with a nonzero
     base-lattice class builds its Laurent monomial and brackets its two
@@ -633,7 +638,7 @@ def reference_base_ring_pairs(ext, window):
             bdeg, bpos, bel = basis[j]
             ((eb, vb),) = bel.terms.items()
             cls = ext.cocycle_class_of_pair(ea, eb)
-            if cls.is_zero() or not cls.in_base_part():
+            if cls.is_zero() or not in_base_part(cls):
                 continue
             checked += 1
             product_in_r = in_base_ring(ext.ring.monomial(tuple(x + y for x, y in zip(ea, eb))))
@@ -670,7 +675,7 @@ def test_sandr_decides_each_key_once_and_matches_the_per_pair_reference(spec, mo
     for i, (mu, a, x) in enumerate(basis):
         for nu, b, y in basis[i:]:
             cls = ext.cocycle_class_of_pair(mu, nu)
-            if cls.is_zero() or not cls.in_base_part():
+            if cls.is_zero() or not in_base_part(cls):
                 continue
             keys.add((tw.residue(mu), a, tw.residue(nu), b))
             w = alg.bracket(list(x.component(mu)), list(y.component(nu)))
@@ -690,6 +695,209 @@ def test_sandr_decides_each_key_once_and_matches_the_per_pair_reference(spec, mo
     assert len(calls) == len(keys)
     assert not rep["passed"]
     assert rep == reference_base_ring_pairs(ext, window)
+
+
+def reference_perfectness(ext, window, margin=1):
+    """The `perfectness` that reads the pairs past a full span: each block of
+    residues has every pair read once, for whether a kappa of it is nonzero,
+    and a later block of that kind raises when that kappa is nonzero, the
+    degree has no central slots and the class of the block is nonzero."""
+    if margin < 0:
+        raise MismatchError("margin must be nonnegative")
+    big = window + margin
+    witnesses, uncovered = [], []
+    tw, field = ext.twisted, ext.field
+    kappa_blocks = {}  # (residue, residue, equal degrees) -> whether a kappa is nonzero
+    for degree in box_degrees(ext.ring.n, window):
+        slots = central_slots(ext.ring, degree)
+        targets = [("loop", pos) for pos in range(tw.component_dim(degree))]
+        targets += [("central", pos) for pos in range(len(slots))]
+        if not targets:
+            continue
+        pairs, solver = [], linalg.SpanSolver(field)
+        for adeg, bdeg, adim, bdim in tw.pair_blocks(degree, big):
+            ra, rb = tw.residue(adeg), tw.residue(bdeg)
+            block = (ra, rb, adeg == bdeg)
+            if solver.dim == len(targets) and block in kappa_blocks:
+                if kappa_blocks[block] and not slots and not (
+                    ext.cocycle_class_of_pair(adeg, bdeg).is_zero()
+                ):
+                    raise StructureError(f"central degree {degree} is not base-invariant")
+                continue
+            kappa = False
+            for apos in range(adim):
+                for bpos in range(apos if bdeg == adeg else 0, bdim):
+                    key = (ra, apos, rb, bpos)
+                    vec = ext._pair_coords(adeg, bdeg, key)
+                    kappa = kappa or bool(tw.pair_at(key)[1])
+                    if solver.dim < len(targets) and any(vec):
+                        pairs.append({"a": [list(adeg), apos], "b": [list(bdeg), bpos]})
+                        solver.add(vec)
+            kappa_blocks[block] = kappa
+        for t, (kind, pos) in enumerate(targets):
+            unit = [field.zero] * len(targets)
+            unit[t] = field.one
+            coeffs = solver.coords(unit)
+            if coeffs is None:
+                uncovered.append({"degree": list(degree), "kind": kind, "pos": pos})
+            else:
+                combo = [{"pair": pairs[i], "coeff": str(c)} for i, c in enumerate(coeffs) if c]
+                witnesses.append(
+                    {"degree": list(degree), "kind": kind, "pos": pos, "combo": combo}
+                )
+    return {
+        "passed": not uncovered,
+        "window": window,
+        "margin": margin,
+        "covered": len(witnesses),
+        "uncovered": uncovered,
+        "witnesses": witnesses,
+    }
+
+
+def outcome(suite, *args):
+    """The report of a suite, or the message of the StructureError it raises."""
+    try:
+        return suite(*args)
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+
+
+def assert_sandr_and_perfect_match_references(ext, window):
+    """`sandr`, then `perfect` at margins 0 and 1, give their references'
+    reports or StructureError messages; the outcomes, in that order."""
+    out = [outcome(ext.base_ring_pairs, window)]
+    assert out[0] == outcome(reference_base_ring_pairs, ext, window)
+    for margin in (0, 1):
+        out.append(outcome(ext.perfectness, window, margin))
+        assert out[-1] == outcome(reference_perfectness, ext, window, margin)
+    return out
+
+
+@pytest.mark.parametrize("spec, window", [(s, w) for s in SHIPPED_SPECS for w in (1, 2, 3)])
+def test_sandr_and_perfect_match_their_references(spec, window):
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    sandr, _, perfect = assert_sandr_and_perfect_match_references(session.ext, window)
+    assert sandr["passed"] and sandr["pairs_with_nonzero_class"] > 0 and perfect["passed"]
+
+
+def doubled_structure_constant(monkeypatch, spec, first, second, result):
+    """A session of the spec with [first, second] = 2 result in that order only."""
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    alg = session.algebra
+    i, j, k = (alg.labels.index(name) for name in (first, second, result))
+    monkeypatch.setitem(alg._rows[i], j, ((k, alg.field.scalar(2)),))
+    return session.ext
+
+
+def lying_residue_zero_coordinates(monkeypatch, spec):
+    """A session of the spec whose residue-0 component coordinates are None
+    for the bracket of the first key (r, a, -r, b) with a nonzero bracket."""
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    tw, alg = session.twisted, session.algebra
+    zero = (0,) * tw.ring.n
+    target = next(
+        w
+        for r, x in sorted(tw.eigen.components.items())
+        for y in tw.eigen.component(tw.residue([-a for a in r]))
+        for v in x
+        if any(w := alg.bracket(list(v), list(y)))
+    )
+    honest = tw.component_coords
+
+    def lying_coords(degree, gvec):
+        if list(gvec) == target and tw.residue(degree) == zero:
+            return None
+        return honest(degree, gvec)
+
+    monkeypatch.setattr(tw, "component_coords", lying_coords)
+    return session.ext
+
+
+def asymmetric_killing_entry(seed):
+    """D4 triality with kappa_ab + 1 on one key whose residues sum to 0."""
+    session = Session(load_spec(str(SPECS_DIR / "d4_triality.json")))
+    tw = session.twisted
+    keys = [
+        key
+        for key in window_keys(tw, 1)
+        if key[0] != (0,) and not any(tw.residue((key[0][0] + key[2][0],)))
+    ]
+    key = random.Random(seed).choice(keys)
+    tw._pair_kappas[key] = tw.pair_at(key)[1] + 1
+    return session.ext
+
+
+CORRUPTIONS = {
+    "asymmetric-kappa-0": lambda patch: asymmetric_killing_entry(0),
+    "asymmetric-kappa-1": lambda patch: asymmetric_killing_entry(1),
+    "kappa-across-residues": bitwist_with_a_corrupted_killing_value,
+    "kappa-across-residues-h1": lambda patch: bitwist_with_a_corrupted_killing_value(
+        patch, "x[0, 1]", "h1"
+    ),
+    "doubled-constant-a1": lambda patch: doubled_structure_constant(
+        patch, "a1_untwisted_n1", "x[1]", "x[-1]", "h1"
+    ),
+    "doubled-constant-a2": lambda patch: doubled_structure_constant(
+        patch, "a2_twisted", "x[1, 0]", "x[-1, 0]", "h1"
+    ),
+    "doubled-constant-bitwist": lambda patch: doubled_structure_constant(
+        patch, "a2_bitwist", "x[1, 0]", "x[-1, 0]", "h1"
+    ),
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_sandr_and_perfect_match_their_references_under_a_corruption(
+    corruption, window, monkeypatch
+):
+    ext = CORRUPTIONS[corruption](monkeypatch)
+    sandr, *perfect = assert_sandr_and_perfect_match_references(ext, window)
+    if corruption in ("doubled-constant-a2", "doubled-constant-bitwist"):
+        assert not sandr["passed"]  # brackets in g_0 leave it
+    if corruption.startswith("kappa-across"):
+        assert all(isinstance(rep, str) and "not base-invariant" in rep for rep in perfect)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("spec", ["a2_bitwist", "a2_twisted", "d4_triality"])
+def test_under_lying_coordinates_sandr_matches_and_perfect_reads_up_to_a_full_span(
+    spec, window, monkeypatch
+):
+    # the fill raises on the keys whose bracket has the lying coordinates;
+    # `perfect` reads no pair past a full span, so where the reference walk
+    # reaches such a key only there, `perfect` gives the honest report
+    honest = Session(load_spec(str(SPECS_DIR / f"{spec}.json"))).ext
+    ext = lying_residue_zero_coordinates(monkeypatch, spec)
+    message = outcome(ext.cocycle_checks, window)  # the cocycle scan reads every key pair
+    assert isinstance(message, str) and message.startswith("StructureError: a bracket at")
+    assert outcome(ext.base_ring_pairs, window) == outcome(
+        reference_base_ring_pairs, ext, window
+    )
+    for margin in (0, 1):
+        new = outcome(ext.perfectness, window, margin)
+        reference = outcome(reference_perfectness, ext, window, margin)
+        assert new == reference or (
+            reference.startswith("StructureError: a bracket at")
+            and new == honest.perfectness(window, margin)
+        )
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_the_kept_pair_rule_is_a_nonzero_class_on_the_base_lattice(spec):
+    # n = 1 and n = 2 at loop orders 1, 2 and 3: `base_ring_pairs` keeps
+    # (mu, nu) when nu has residue -residue(mu) and `_nonzero_class` holds
+    session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
+    ext, tw, ring = session.ext, session.twisted, session.ring
+    box = box_degrees(ring.n, 3)
+    for mu in box:
+        minus = tw.residue([-a for a in mu])
+        for nu in box:
+            kept = tw.residue(nu) == minus and _nonzero_class(mu, nu)
+            gamma = tuple(a + b for a, b in zip(mu, nu))
+            cls = ext.cocycle_class_of_pair(mu, nu)
+            assert kept == (not cls.is_zero() and ring.in_base_lattice(gamma)), (mu, nu)
 
 
 @pytest.mark.parametrize(
