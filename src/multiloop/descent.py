@@ -9,6 +9,8 @@ sigma-eigenspace of residue alpha mod (m_1..m_n), tensored with s^alpha.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import MismatchError, StructureError
 from .laurent import GaloisElement, LaurentRing, box_degrees
 from .liealg import (
@@ -17,6 +19,7 @@ from .liealg import (
     SplitSimpleLieAlgebra,
     _joint_eigenspace,
     identity_automorphism,
+    nonzeros,
 )
 
 
@@ -47,7 +50,7 @@ class LoopAlgebra:
         alg = self.algebra
         for ea, va in x.terms.items():
             for eb, vb in y.terms.items():
-                w = alg.bracket(list(va), list(vb))
+                w = alg.bracket(nonzeros(va), nonzeros(vb))
                 if any(w):
                     e = tuple(a + b for a, b in zip(ea, eb))
                     cur = terms.get(e)
@@ -210,6 +213,7 @@ class TwistedLoopAlgebra:
         self._pairs = {}
         self._pair_kappas = {}
         self._direct = {}  # residue -> `component_direct` of its degrees, built on first use
+        self._nonzeros = {}  # residue -> `basis_nonzeros` of its component, built on first use
 
     # -- components -----------------------------------------------------------
 
@@ -225,6 +229,14 @@ class TwistedLoopAlgebra:
 
     def component_dim(self, degree) -> int:
         return len(self.component_gbasis(degree))
+
+    def basis_nonzeros(self, residue):
+        """The eigen-adapted basis of a residue's component, each vector as its
+        nonzero (index, value) pairs, the operand form of `algebra.bracket`."""
+        basis = self._nonzeros.get(residue)
+        if basis is None:
+            basis = self._nonzeros[residue] = tuple(map(nonzeros, self.eigen.component(residue)))
+        return basis
 
     def component_basis(self, degree):
         """The eigen-adapted basis x_a tensor s^degree of one component, as a tuple."""
@@ -251,8 +263,8 @@ class TwistedLoopAlgebra:
             coords = self._pair_bracket(mu, a, nu, b)
         kappa = self._pair_kappas.get(key)
         if kappa is None:
-            x = list(self.eigen.component(key[0])[a])
-            y = list(self.eigen.component(key[2])[b])
+            x = self.basis_nonzeros(key[0])[a]
+            y = self.basis_nonzeros(key[2])[b]
             kappa = self._pair_kappas[key] = self.algebra.killing(x, y)
         return coords, kappa
 
@@ -268,8 +280,8 @@ class TwistedLoopAlgebra:
         key = (self.residue(mu), a, self.residue(nu), b)
         coords = self._pairs.get(key)
         if coords is None:
-            x = list(self.eigen.component(key[0])[a])
-            y = list(self.eigen.component(key[2])[b])
+            x = self.basis_nonzeros(key[0])[a]
+            y = self.basis_nonzeros(key[2])[b]
             degree = tuple(p + q for p, q in zip(mu, nu))
             full = self.component_coords(degree, self.algebra.bracket(x, y))
             if full is None:
@@ -302,11 +314,15 @@ class TwistedLoopAlgebra:
     # -- window bookkeeping -----------------------------------------------------
 
     def pair_blocks(self, lam, window: int):
-        """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam."""
-        for mu in box_degrees(self.ring.n, window):
+        """(mu, nu, dim mu, dim nu) for nonzero window components, mu <= nu, mu + nu = lam.
+
+        mu runs in box order over the part of the box where lam - mu lies in it
+        too.  nu = lam - mu falls as mu rises, so the first mu > nu ends the walk."""
+        for mu in product(*(range(max(-window, l - window), min(window, l + window) + 1)
+                            for l in lam)):
             nu = tuple(l - m for l, m in zip(lam, mu))
-            if mu > nu or not all(abs(a) <= window for a in nu):
-                continue
+            if mu > nu:
+                break
             dm, dn = self.component_dim(mu), self.component_dim(nu)
             if dm and dn:
                 yield mu, nu, dm, dn

@@ -26,6 +26,7 @@ from .kaehler import (
     slot_indices,
 )
 from .laurent import box_degrees
+from .liealg import nonzeros
 
 _CENTRE_MAX_ENLARGE = 2
 
@@ -134,7 +135,7 @@ class CentralExtension:
         raw = {}
         for ea, va in x.terms.items():
             for eb, vb in y.terms.items():
-                k = self.algebra.killing(list(va), list(vb))
+                k = self.algebra.killing(nonzeros(va), nonzeros(vb))
                 if k:
                     deg = tuple(a + b for a, b in zip(ea, eb))
                     vec = raw.get(deg)
@@ -657,7 +658,7 @@ class CentralExtension:
         key = (g.components, residue, pos)
         if key not in self._lifts:
             tw = self.twisted
-            x = list(tw.eigen.component(residue)[pos])
+            x = tw.basis_nonzeros(residue)[pos]
             coords = tw.component_coords(residue, tw.cocycle.value(g).apply(x))
             self._lifts[key] = (
                 None if coords is None else tuple((q, e) for q, e in enumerate(coords) if e)
@@ -706,11 +707,11 @@ class CentralExtension:
         without the common character factor.  kappa is read from the algebra,
         as the pair-table fill may be what raised."""
         rmu, a, rnu, b = key
-        alg, u = self.algebra, self.twisted.cocycle.value(g)
-        x = list(self.twisted.eigen.component(rmu)[a])
-        y = list(self.twisted.eigen.component(rnu)[b])
-        ux, uy = u.apply(x), u.apply(y)
-        loop_equal = u.apply(alg.bracket(x, y)) == alg.bracket(ux, uy)
+        tw = self.twisted
+        alg, u = self.algebra, tw.cocycle.value(g)
+        x, y = tw.basis_nonzeros(rmu)[a], tw.basis_nonzeros(rnu)[b]
+        ux, uy = nonzeros(u.apply(x)), nonzeros(u.apply(y))
+        loop_equal = u.apply(nonzeros(alg.bracket(x, y))) == alg.bracket(ux, uy)
         return loop_equal, alg.killing(x, y) == alg.killing(ux, uy)
 
     def _fixed_central_dim(self, degree) -> int:

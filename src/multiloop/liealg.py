@@ -232,31 +232,31 @@ class SplitSimpleLieAlgebra:
         return self.basis_vector(2 * self.npos + i)
 
     def bracket(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise MismatchError("vector dimension does not match the algebra")
+        """[u, v] as a dense vector, for u and v given by their nonzero (index,
+        value) pairs (`nonzeros`).  The structure rows are read at each call."""
         out = [self.field.zero] * self.dim
-        nonzero_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if a:
-                row = self._rows[i]
-                for j, b in nonzero_v:
-                    entries = row.get(j)
-                    if entries:
-                        ab = a * b
-                        for k, c in entries:
-                            out[k] = out[k] + ab * c
+        rows = self._rows
+        for i, a in u:
+            row = rows[i]
+            for j, b in v:
+                entries = row.get(j)
+                if entries:
+                    ab = a * b
+                    for k, c in entries:
+                        out[k] = out[k] + ab * c
         return out
 
     def killing(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise MismatchError("vector dimension does not match the algebra")
+        """kappa(u, v), for u and v given by their nonzero (index, value) pairs
+        (`nonzeros`).  The Killing rows are read at each call."""
+        rows = self._killing_rows
+        v = dict(v)
         total = self.field.zero
-        for i, a in enumerate(u):
-            if a:
-                for j, k in self._killing_rows[i]:
-                    b = v[j]
-                    if b:
-                        total = total + a * b * k
+        for i, a in u:
+            for j, k in rows[i]:
+                b = v.get(j)
+                if b is not None:
+                    total = total + a * b * k
         return total
 
     # -- verification ------------------------------------------------------------
@@ -332,6 +332,12 @@ class SplitSimpleLieAlgebra:
 
     def __repr__(self):
         return f"SplitSimpleLieAlgebra({self.family}{self.rank}, dim={self.dim})"
+
+
+def nonzeros(vec):
+    """The nonzero (index, value) pairs of a dense g-vector: the operands of
+    `bracket`, `killing` and `LieAutomorphism.apply`."""
+    return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
 _ALGEBRA_CACHE = {}
@@ -417,11 +423,13 @@ class LieAutomorphism:
         return minimal
 
     def apply(self, vec):
+        """The image of vec as a dense vector, for vec given by its nonzero
+        (index, value) pairs (`nonzeros`)."""
         out = [self.algebra.field.zero] * self.algebra.dim
-        for j, a in enumerate(vec):
-            if a:
-                for t, x in self._nonzeros[j]:
-                    out[t] = out[t] + a * x
+        cols = self._nonzeros
+        for j, a in vec:
+            for t, x in cols[j]:
+                out[t] = out[t] + a * x
         return out
 
     def compose(self, other: "LieAutomorphism") -> "LieAutomorphism":
@@ -540,7 +548,7 @@ def diagram_automorphism(algebra, perm) -> LieAutomorphism:
                 ib = algebra.index_of_root[tuple(sign * c for c in beta)]
                 # [x_a, x_b] = c x_target in the verified table
                 coeff = field.scalar(dict(algebra._int_struct[(ia, ib)])[target_idx])
-                img = algebra.bracket(images[ia], images[ib])
+                img = algebra.bracket(nonzeros(images[ia]), nonzeros(images[ib]))
                 inv = coeff.inverse()
                 img = [x * inv for x in img]
                 if candidate is None:
@@ -606,9 +614,10 @@ class EigenspaceDecomposition:
             raise StructureError("eigenspaces do not decompose the algebra")
         for res, basis in self.components.items():
             for v in basis:
+                pairs = nonzeros(v)
                 for a, m, i in zip(autos, orders, res):
                     lam = field.root_of_unity(m, i)
-                    if a.apply(list(v)) != [lam * x for x in v]:
+                    if a.apply(pairs) != [lam * x for x in v]:
                         raise StructureError("eigenvector check failed")
         self._solvers = {
             res: linalg.SpanSolver(field, basis) for res, basis in self.components.items()
@@ -643,10 +652,11 @@ def _subalgebra_killing(algebra, basis):
     solver = linalg.SpanSolver(field, basis)
     if solver.dim != d:
         raise StructureError("subalgebra basis is linearly dependent")
+    pairs = [nonzeros(v) for v in basis]
     ad = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            coords = solver.coords(algebra.bracket(basis[i], basis[j]))
+            coords = solver.coords(algebra.bracket(pairs[i], pairs[j]))
             if coords is None:
                 raise StructureError("basis is not closed under the bracket")
             for r in range(d):

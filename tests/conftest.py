@@ -4,6 +4,7 @@ from multiloop import checks
 from multiloop.descent import LoopElement
 from multiloop.kaehler import invariant_matches_base_image_at
 from multiloop.laurent import GaloisElement, LaurentPoly, box_degrees
+from multiloop.liealg import nonzeros
 from multiloop.session import Session, SessionSpec
 
 
@@ -24,7 +25,7 @@ def descent_action(tw, g, x) -> LoopElement:
     return LoopElement(
         x.parent,
         {
-            e: tuple(u.apply([c * group.character(g, e) for c in v]))
+            e: tuple(u.apply(nonzeros([c * group.character(g, e) for c in v])))
             for e, v in x.terms.items()
         },
     )

@@ -19,6 +19,7 @@ from multiloop import session as session_module
 from multiloop.checks import CHECK_NAMES, h2_report, run_checks
 from multiloop.errors import SpecError, StructureError
 from multiloop.laurent import box_degrees
+from multiloop.liealg import nonzeros
 from multiloop.session import Session, SessionSpec, load_spec
 from tests.test_extension import (
     SHIPPED_SPECS,
@@ -47,10 +48,12 @@ def basis_free(report):
 def exp_ad(alg, x, sign):
     """v -> exp(sign ad x) v for a nilpotent ad x, summed until a term is 0."""
 
+    x = nonzeros(x)
+
     def apply(v):
         out, term, k = list(v), list(v), 1
         while True:
-            term = [c * sign / k for c in alg.bracket(x, term)]
+            term = [c * sign / k for c in alg.bracket(x, nonzeros(term))]
             if not any(term):
                 return out
             out = [a + b for a, b in zip(out, term)]
@@ -67,7 +70,7 @@ def conjugated(spec: SessionSpec, session: Session) -> SessionSpec:
     autos = []
     for sigma in session.sigmas:
         columns = [
-            tau(sigma.apply(tau_inv(alg.basis_vector(j)))) for j in range(alg.dim)
+            tau(sigma.apply(nonzeros(tau_inv(alg.basis_vector(j))))) for j in range(alg.dim)
         ]
         entries = [[str(col[i]) for col in columns] for i in range(alg.dim)]
         autos.append({"kind": "matrix", "order": sigma.order, "entries": entries})

@@ -6,14 +6,17 @@ from multiloop import linalg
 from multiloop.cyclotomic import CyclotomicField
 from multiloop.descent import DescentCocycle, LoopAlgebra, TwistedLoopAlgebra
 from multiloop.errors import MismatchError, StructureError
-from multiloop.laurent import LaurentRing
+from multiloop.laurent import LaurentRing, box_degrees
 from multiloop.liealg import (
     LieAutomorphism,
     build_algebra,
     diagram_automorphism,
     identity_automorphism,
+    nonzeros,
 )
+from multiloop.session import Session, load_spec
 from tests.conftest import descent_action, identity, make_session
+from tests.test_extension import SHIPPED_SPECS, SPECS_DIR
 
 
 def contains(tw, x) -> bool:
@@ -149,13 +152,13 @@ def test_g_a_bracket_containments(a2_twisted):
     span = linalg.SpanSolver(tw.field, [list(v) for v in g_s2])
     for x in g_s:
         for y in g_s:
-            assert span.contains(alg.bracket(list(x), list(y)))
+            assert span.contains(alg.bracket(nonzeros(x), nonzeros(y)))
     # module property: [g_a, g_0] inside g_a
     g0 = tw.g0_basis()
     span_s = linalg.SpanSolver(tw.field, [list(v) for v in g_s])
     for x in g_s:
         for y in g0:
-            assert span_s.contains(alg.bracket(list(x), list(y)))
+            assert span_s.contains(alg.bracket(nonzeros(x), nonzeros(y)))
 
 
 def test_cocycle_values_and_law(a2_twisted):
@@ -237,7 +240,7 @@ def test_pair_table_matches_the_element_path(request, name, window):
             coords, kappa = tw.pair(mu, a, nu, b)
             assert tw.pair_at((tw.residue(mu), a, tw.residue(nu), b)) == (coords, kappa)
             assert list(coords) == [(r, c) for r, c in enumerate(expected) if c]
-            assert kappa == alg.killing(list(x.component(mu)), list(y.component(nu)))
+            assert kappa == alg.killing(nonzeros(x.component(mu)), nonzeros(y.component(nu)))
     dims = [len(v) for v in tw.eigen.components.values()]
     assert len(tw._pairs) <= sum(p * q for p in dims for q in dims)
 
@@ -266,3 +269,23 @@ def test_shape_mismatch(a1_n1, a1_n2):
         y = a1_n2.twisted.loopalg.pure(a1_n2.algebra.e(0), (1, 0))
         x + y
 
+
+def reference_pair_blocks(tw, lam, window):
+    """`pair_blocks` as a walk over the whole window box."""
+    for mu in box_degrees(tw.ring.n, window):
+        nu = tuple(l - m for l, m in zip(lam, mu))
+        if mu > nu or not all(abs(a) <= window for a in nu):
+            continue
+        dm, dn = tw.component_dim(mu), tw.component_dim(nu)
+        if dm and dn:
+            yield mu, nu, dm, dn
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_pair_blocks_yield_what_the_whole_box_walk_yields(spec):
+    tw = Session(load_spec(str(SPECS_DIR / f"{spec}.json"))).twisted
+    for window in range(4):
+        # every lam of the box of radius 2 * window, and one shell past it
+        for lam in box_degrees(tw.ring.n, 2 * window + 1):
+            expected = list(reference_pair_blocks(tw, lam, window))
+            assert list(tw.pair_blocks(lam, window)) == expected
