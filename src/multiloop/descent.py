@@ -17,10 +17,22 @@ from .liealg import (
     EigenspaceDecomposition,
     LieAutomorphism,
     SplitSimpleLieAlgebra,
-    _joint_eigenspace,
     identity_automorphism,
     nonzeros,
 )
+
+
+def _eigen_rows(algebra, pairs):
+    """The rows of M - lam I stacked over the (columns of M, lam) in pairs: x is
+    an eigenvector of every M for its lam exactly when every row kills x."""
+    dim = algebra.dim
+    rows = []
+    for columns, eigenvalue in pairs:
+        for r in range(dim):
+            row = [columns[c][r] for c in range(dim)]
+            row[r] = row[r] - eigenvalue
+            rows.append(row)
+    return rows
 
 
 class LoopAlgebra:
@@ -212,7 +224,6 @@ class TwistedLoopAlgebra:
         # each filled on first use, so a caller of coordinates only computes no kappa
         self._pairs = {}
         self._pair_kappas = {}
-        self._direct = {}  # residue -> `component_direct` of its degrees, built on first use
         self._nonzeros = {}  # residue -> `basis_nonzeros` of its component, built on first use
 
     # -- components -----------------------------------------------------------
@@ -289,27 +300,21 @@ class TwistedLoopAlgebra:
             coords = self._pairs[key] = tuple((r, c) for r, c in enumerate(full) if c)
         return coords
 
-    def component_direct(self, degree):
-        """Fixed space of x -> chi_degree(g) u_g x over all g, independent of the
+    def fixed_rows(self, residue):
+        """Rows whose common kernel is the fixed space of x -> chi_degree(g) u_g x
+        over all g, for the degrees of this residue, independent of the
         eigenspaces: x is fixed exactly when u_g x = chi_(-degree)(g) x.  Both
         u_g and chi_(-degree)(g) are the products of their values at the
         generators e_i of G, taken g_i times, so the conditions at the e_i
-        alone have the same solutions, and `_joint_eigenspace` stacks n
-        blocks of rows rather than |G|.  The characters depend on the residue
-        of the degree only, so the space is computed once per residue."""
-        residue = self.residue(degree)
-        fixed = self._direct.get(residue)
-        if fixed is None:
-            negated = tuple(-a for a in residue)
-            group = self.group
-            pairs = [
-                (self.cocycle.value(e).columns, group.character(e, negated))
-                for e in map(group.generator, range(group.n))
-            ]
-            fixed = self._direct[residue] = [
-                tuple(v) for v in _joint_eigenspace(self.algebra, pairs)
-            ]
-        return fixed
+        alone have the same solutions: the rows of u_(e_i) - chi_(-degree)(e_i) I,
+        n blocks of them rather than |G|.  The characters depend on the
+        residue of the degree only."""
+        negated = tuple(-a for a in residue)
+        group = self.group
+        return _eigen_rows(self.algebra, [
+            (self.cocycle.value(e).columns, group.character(e, negated))
+            for e in map(group.generator, range(group.n))
+        ])
 
     # -- window bookkeeping -----------------------------------------------------
 

@@ -453,8 +453,9 @@ class CentralExtension:
             raise StructureError(f"central degree {degree} is not base-invariant")
         return out
 
-    def _loop_kernel_dim(self, degree, generator_window: int) -> int:
-        """dim of loop directions at the degree killed by all generator brackets.
+    def _generator_degrees(self, degree, generator_window: int):
+        """The (degree, residue) pairs, in box order, that `_loop_kernel_dim`
+        brackets the degree against.
 
         The loop coordinates of [x_a (x) s^degree, y_b (x) s^nu] depend on the
         residue of nu and on b only; its central part is kappa(x_a, y_b) times
@@ -462,21 +463,34 @@ class CentralExtension:
         the same loop columns and multiples of one kappa column, nonzero exactly
         when the class is: its first degree in box order and its first with a
         nonzero class span them all.  Both are kept, so that `_pair_coords`
-        fills the pair table and raises in the order of a scan over every degree."""
-        degree = tuple(degree)
+        fills the pair table and raises in the order of a scan over every
+        degree.  Once every residue with a nonzero component has its first
+        nonzero class, every later degree would be passed over, so the walk
+        ends there (in one variable only -degree has a nonzero class, so the
+        walk ends early only where one residue has a nonzero component)."""
         tw = self.twisted
-        dim = tw.component_dim(degree)
-        if not dim:
-            return 0
+        live = sum(1 for d in tw.eigen.dims().values() if d)
         firsts, nonzero = {}, {}  # residue -> its first degree, its first nonzero class
-        for gdeg in box_degrees(self.ring.n, generator_window):
+        for gdeg in product(range(-generator_window, generator_window + 1), repeat=self.ring.n):
             rg = tw.residue(gdeg)
             if rg in nonzero or not tw.component_dim(gdeg):
                 continue
             firsts.setdefault(rg, gdeg)
             if _nonzero_class(degree, gdeg):
                 nonzero[rg] = gdeg
-        gens = sorted({(d, tw.residue(d)) for d in (*firsts.values(), *nonzero.values())})
+                if len(nonzero) == live:
+                    break
+        return sorted({(d, tw.residue(d)) for d in (*firsts.values(), *nonzero.values())})
+
+    def _loop_kernel_dim(self, degree, generator_window: int) -> int:
+        """dim of loop directions at the degree killed by all generator brackets,
+        the rank read against the generator degrees `_generator_degrees` picks."""
+        degree = tuple(degree)
+        tw = self.twisted
+        dim = tw.component_dim(degree)
+        if not dim:
+            return 0
+        gens = self._generator_degrees(degree, generator_window)
         rdeg = tw.residue(degree)
         images = [
             [
@@ -575,7 +589,8 @@ class CentralExtension:
 
         (a) reads u_g of each eigen-adapted basis vector in component
         coordinates, once per (g, residue, position) (`_lift_pairs`).  (b)
-        reads the eigenspace solvers of the session.  (d)
+        compares each residue's fixed space with its component once, by a
+        rank and a containment (`_loop_fixed_space`).  (d)
         reads one verdict per (g, residue, position, residue, position)
         (`_equivariance_sides`): whether the loop sides are equal, and whether
         the Killing sides are.  The central sides are the Killing sides times
@@ -605,10 +620,7 @@ class CentralExtension:
         for degree in box_degrees(self.ring.n, window):
             res = tw.residue(degree)
             if res not in loop_spaces:
-                fixed = tw.component_direct(degree)
-                dim = tw.component_dim(degree)
-                same = len(fixed) == dim and all(tw.eigen.contains(res, v) for v in fixed)
-                loop_spaces[res] = len(fixed), dim, same
+                loop_spaces[res] = self._loop_fixed_space(res)
             loop_fixed, loop_component, same = loop_spaces[res]
             central_expected = len(central_slots(self.ring, degree))
             central_fixed = self._fixed_central_dim(degree)
@@ -650,6 +662,22 @@ class CentralExtension:
             "per_degree": dim_checks,
             "failures": failures,
         }
+
+    def _loop_fixed_space(self, residue):
+        """(dim of the loop fixed space, dim of the component, whether the two
+        are equal) at the degrees of a residue.  The fixed space is the
+        common kernel of `fixed_rows`, of dim g minus their rank; it is the
+        component when the dimensions agree and every eigen-adapted basis
+        vector of the component satisfies every row."""
+        tw = self.twisted
+        rows = tw.fixed_rows(residue)
+        fixed = self.algebra.dim - linalg.SpanSolver(self.field, rows).dim
+        basis = tw.basis_nonzeros(residue)
+        zero = self.field.zero
+        same = fixed == len(basis) and not any(
+            sum((row[c] * x for c, x in vec if row[c]), zero) for vec in basis for row in rows
+        )
+        return fixed, len(basis), same
 
     def _lift_pairs(self, g, residue, pos):
         """The nonzero (q, e) of the component coordinates of u_g x for the

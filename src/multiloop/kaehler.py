@@ -374,17 +374,21 @@ class CentralClass(_Graded):
 def reduce_form(form: DifferentialForm) -> CentralClass:
     """Quotient map Omega_S -> Omega_S/dS in canonical coordinates."""
     ring = form.ring
-    zero = ring._zero_vector
-    pieces = {}
-    # the degrees are tuples and no vector of a form is all zero, so a vector
-    # the reduction leaves as it is goes in unchanged, and the shared zero
-    # vector of a one-slot piece drops out by identity
-    for degree, vec in form.pieces.items():
-        out = _reduce_vector(ring, degree, vec)
-        if out is vec:
-            pieces[degree] = vec
-        elif out is not zero and any(out):
-            pieces[degree] = tuple(out)
+    if ring.n == 1:
+        # one variable: every piece of nonzero degree has its one slot as
+        # the pivot and reduces to 0, so the class is the degree-0 piece
+        vec = form.pieces.get((0,))
+        pieces = {} if vec is None else {(0,): vec}
+    else:
+        pieces = {}
+        # the degrees are tuples and no vector of a form is all zero, so a
+        # vector the reduction leaves as it is goes in unchanged
+        for degree, vec in form.pieces.items():
+            out = _reduce_vector(ring, degree, vec)
+            if out is vec:
+                pieces[degree] = vec
+            elif any(out):
+                pieces[degree] = tuple(out)
     cls = _new(CentralClass)
     cls.ring = ring
     cls.pieces = pieces

@@ -24,6 +24,8 @@ from multiloop.session import Session, SessionSpec, load_spec
 from tests.test_extension import (
     SHIPPED_SPECS,
     SPECS_DIR,
+    assert_fixed_space_as_reference,
+    component_direct,
     reference_base_ring_pairs,
     reference_component_direct,
     reference_decomposition,
@@ -125,12 +127,21 @@ def test_sandr_and_decomposition_match_their_references_on_a_dense_conjugate():
 
 @pytest.mark.parametrize("name", SHIPPED_SPECS)
 def test_fixed_spaces_from_the_generators_equal_the_all_elements_reference(name):
-    # `component_direct` stacks the rows of the generators of G only; the
-    # reference stacks every element, and the conjugates' columns are dense
+    # `fixed_rows` stacks the rows of the generators of G only; the reference
+    # stacks every element, and the conjugates' columns are dense, so their
+    # eigenvectors are not monomial.  The rank route reads the reference's
+    # dimension and verdict at every residue of the window-3 box, which holds
+    # the boxes of windows 1 and 2
     session, conjugate = shipped_and_conjugate(name)
-    for tw in (session.twisted, conjugate.twisted):
-        for degree in box_degrees(tw.ring.n, 2):  # the window-2 box holds the window-1 box
-            assert tw.component_direct(degree) == reference_component_direct(tw, degree)
+    for ext in (session.ext, conjugate.ext):
+        tw = ext.twisted
+        for degree in box_degrees(tw.ring.n, 2):
+            assert component_direct(tw, degree) == reference_component_direct(tw, degree)
+        firsts = {}
+        for degree in box_degrees(tw.ring.n, 3):
+            firsts.setdefault(tw.residue(degree), degree)
+        for degree in firsts.values():
+            assert_fixed_space_as_reference(ext, degree)
 
 
 @pytest.mark.parametrize("name", SHIPPED_SPECS)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multiloop import descent, linalg
+from multiloop import descent, extension, linalg
 from multiloop.errors import MismatchError, StructureError
 from multiloop.extension import CentralExtension, ExtendedElement, _nonzero_class
 from multiloop.kaehler import (
@@ -410,14 +410,34 @@ def reference_equivariance_sides(ext, g, key):
     return lhs == rhs, kappa == k_rhs
 
 
+def component_direct(tw, degree):
+    """The fixed space at a degree as a basis: the nullspace of `fixed_rows`,
+    which stacks the rows of the generators of G only."""
+    rows = tw.fixed_rows(tw.residue(degree))
+    return [tuple(v) for v in linalg.nullspace(rows, tw.algebra.dim, tw.field)]
+
+
 def reference_component_direct(tw, degree):
-    """The fixed space of x -> chi_degree(g) u_g x, computed for this degree."""
+    """The fixed space of x -> chi_degree(g) u_g x, computed for this degree,
+    with the rows of every element of G."""
     negated = tuple(-a for a in degree)
     pairs = [
         (tw.cocycle.value(g).columns, tw.group.character(g, negated))
         for g in tw.group.elements()
     ]
-    return [tuple(v) for v in descent._joint_eigenspace(tw.algebra, pairs)]
+    rows = descent._eigen_rows(tw.algebra, pairs)
+    return [tuple(v) for v in linalg.nullspace(rows, tw.algebra.dim, tw.field)]
+
+
+def assert_fixed_space_as_reference(ext, degree):
+    """The rank route's (fixed dim, component dim, verdict) at the residue of
+    a degree equals the one read off the reference fixed space."""
+    tw = ext.twisted
+    fixed = reference_component_direct(tw, degree)
+    comp = tw.component_gbasis(degree)
+    span = linalg.SpanSolver(ext.field, comp)
+    same = len(fixed) == len(comp) and all(map(span.contains, fixed))
+    assert ext._loop_fixed_space(tw.residue(degree)) == (len(fixed), len(comp), same), degree
 
 
 def reference_decomposition(ext, window):
@@ -919,7 +939,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
 
     session = Session(load_spec(str(SPECS_DIR / f"{spec}.json")))
     calls = {
-        "bracket": 0, "_equivariance_sides_in_g": 0, "killing": 0, "_joint_eigenspace": 0,
+        "bracket": 0, "_equivariance_sides_in_g": 0, "killing": 0, "_eigen_rows": 0,
         "__mul__": 0,
     }
 
@@ -935,7 +955,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
     counted(SplitSimpleLieAlgebra, "bracket")
     counted(SplitSimpleLieAlgebra, "killing")
     counted(CentralExtension, "_equivariance_sides_in_g")
-    counted(descent, "_joint_eigenspace")
+    counted(descent, "_eigen_rows")
     counted(CyclotomicNumber, "__mul__")
     reports, decomposition_muls = [], None
     for name in CHECK_NAMES:
@@ -950,7 +970,7 @@ def test_structural_suites_bracket_per_key_and_lift_no_central_vector(
     assert calls["bracket"] == len(tw._pairs) == session.algebra.dim ** 2
     assert calls["killing"] == len(tw._pair_kappas) > 0
     residues = {tw.residue(d) for d in box_degrees(session.ring.n, session.spec.window)}
-    assert calls["_joint_eigenspace"] == len(residues)
+    assert calls["_eigen_rows"] == len(residues)
     if max_decomposition_muls is not None:
         assert decomposition_muls <= max_decomposition_muls
 
@@ -982,7 +1002,7 @@ def assert_routes_match_references(ext, window, monkeypatch):
         )
         assert ext.decomposition(window) == decomposition
     for degree in box_degrees(ext.ring.n, window):
-        assert tw.component_direct(degree) == reference_component_direct(tw, degree)
+        assert_fixed_space_as_reference(ext, degree)
     return ext.cocycle_checks(window), decomposition
 
 
@@ -1187,18 +1207,98 @@ def test_wrong_fixed_space_of_one_residue_fails_at_each_of_its_degrees(seed, mon
         [group.character(g, negated) for g in group.elements()],
         [group.character(group.generator(i), negated) for i in range(group.n)],
     )
-    honest = descent._joint_eigenspace
+    # one more row, x_j = 0 at a coordinate j where the component's first
+    # basis vector is nonzero: the fixed space loses one dimension
+    first = tw.eigen.component(residue)[0]
+    unit = [tw.field.zero] * tw.algebra.dim
+    unit[next(j for j, x in enumerate(first) if x)] = tw.field.one
+    honest = descent._eigen_rows
 
     def drop_one_vector(algebra, pairs):
-        space = honest(algebra, pairs)
-        return space[:-1] if [chi for _, chi in pairs] in characters else space
+        rows = honest(algebra, pairs)
+        return rows + [unit] if [chi for _, chi in pairs] in characters else rows
 
-    monkeypatch.setattr(descent, "_joint_eigenspace", drop_one_vector)
+    monkeypatch.setattr(descent, "_eigen_rows", drop_one_vector)
     rep = ext.decomposition(2)
     assert rep == reference_decomposition(ext, 2)
     failing = [f["degree"] for f in rep["failures"]]
     assert {f["kind"] for f in rep["failures"]} == {"fixed-space"}
     assert failing == [list(d) for d in box_degrees(1, 2) if tw.residue(d) == residue]
+
+
+def reference_generator_degrees(ext, degree, generator_window):
+    """`_generator_degrees` by a walk over the whole generator box."""
+    tw = ext.twisted
+    firsts, nonzero = {}, {}
+    for gdeg in box_degrees(ext.ring.n, generator_window):
+        rg = tw.residue(gdeg)
+        if rg in nonzero or not tw.component_dim(gdeg):
+            continue
+        firsts.setdefault(rg, gdeg)
+        if _nonzero_class(degree, gdeg):
+            nonzero[rg] = gdeg
+    return sorted({(d, tw.residue(d)) for d in (*firsts.values(), *nonzero.values())})
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_centre_generator_degrees_equal_the_full_walk(spec, monkeypatch):
+    # the walk ends once every residue with a nonzero component has its first
+    # nonzero class; it picks the degrees the walk over the whole box picks.
+    # In one variable only -degree has a nonzero class with the degree, so
+    # the walk ends early only where one residue has a nonzero component
+    ext = Session(load_spec(str(SPECS_DIR / f"{spec}.json"))).ext
+    visited = []
+
+    def counted_product(*args, **kwargs):
+        for item in product(*args, **kwargs):
+            visited.append(item)
+            yield item
+
+    monkeypatch.setattr(extension, "product", counted_product)
+    walked, box = 0, 0
+    for window in (1, 2, 3, 4):
+        for generator_window in (window, window + 2):
+            for degree in box_degrees(ext.ring.n, window):
+                if not ext.twisted.component_dim(degree):
+                    continue
+                del visited[:]
+                gens = ext._generator_degrees(degree, generator_window)
+                assert gens == reference_generator_degrees(ext, degree, generator_window), degree
+                walked += len(visited)
+                box += (2 * generator_window + 1) ** ext.ring.n
+    live = [r for r, d in ext.twisted.eigen.dims().items() if d]
+    assert (walked < box) == (ext.ring.n > 1 or len(live) == 1)
+
+
+def test_check_all_on_d4_triality_makes_no_dense_elimination_after_set_up(monkeypatch):
+    # set-up builds the eigenspaces with `nullspace`; past it, the suites read
+    # ranks and spans with `SpanSolver` only
+    from multiloop.checks import run_checks
+
+    session = Session(load_spec(str(SPECS_DIR / "d4_triality.json")))
+    calls = []
+    for name in ("rref", "nullspace"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *args, _n=name, _f=original: calls.append(_n) or _f(*args)
+        )
+    assert all(rep["status"] == "pass" for rep in run_checks(session, "all"))
+    assert calls == []
+
+
+def test_a_fixed_space_of_the_right_dimension_fails_by_containment(monkeypatch):
+    # residue 1 of d4_triality read against the rows of residue 2: both fixed
+    # spaces have dimension 7, so only the containment of the component's
+    # basis vectors in the kernel of the rows tells them apart
+    session = Session(load_spec(str(SPECS_DIR / "d4_triality.json")))
+    ext, tw = session.ext, session.twisted
+    assert ext._loop_fixed_space((1,)) == ext._loop_fixed_space((2,)) == (7, 7, True)
+    honest = tw.fixed_rows
+    monkeypatch.setattr(tw, "fixed_rows", lambda r: honest((2,) if r == (1,) else r))
+    assert ext._loop_fixed_space((1,)) == (7, 7, False)
+    rep = ext.decomposition(2)
+    assert {f["kind"] for f in rep["failures"]} == {"fixed-space"}
+    assert [f["degree"] for f in rep["failures"]] == [[-2], [1]]
 
 
 @pytest.mark.parametrize("column", [None, 0], ids=["every-column", "column-0"])

@@ -4,12 +4,14 @@
 returns one shared zero vector for a one-slot piece it reduces to zero, and
 `differential`, `DifferentialForm.scale_poly`, `_add_pieces` and
 `LaurentPoly.__mul__` were rewritten for per-call speed; in one variable the
-last three add exponents as ints.  The plain routines they replaced are kept
+last three add exponents as ints, and `reduce_form` keeps the degree-0 piece
+without reducing the others.  The plain routines they replaced are kept
 here as references, and the fast ones must give the same pieces and terms,
 element for element, on two sets of inputs: every degree of a box in one,
 two and three variables, with a product and a scaled form at each degree in
 which two contributions cancel, and the first second-loop draws of
-`check_zrel` on every shipped spec and on a Q(zeta12) ring.
+`check_zrel` on every shipped spec and on a Q(zeta12) ring in one and in two
+variables.
 """
 
 import random
@@ -268,6 +270,29 @@ def test_form_arithmetic_equals_the_reference_on_every_degree_of_the_box(name):
             assert_cancellations_as_reference(ring, degree, c, scalars[(i + 1) % len(scalars)])
 
 
+@pytest.mark.parametrize("name", [name for name in sorted(BOX_RINGS) if name.startswith("n1-")])
+def test_one_variable_class_is_the_degree_zero_piece_on_every_degree_of_the_box(name):
+    # a form with a piece at every degree of the box, and one at every degree
+    # but 0: each piece reduced by the reference, the class is the degree-0
+    # piece, kept by identity, or 0
+    ring = BOX_RINGS[name]
+    scalars = box_scalars(ring.field)
+    terms = [ring.monomial((a - 1,), scalars[i % len(scalars)])
+             for i, (a,) in enumerate(box_degrees(1, BOX))]
+    full = DifferentialForm(ring, (sum(terms, ring.zero),))
+    assert sorted(full.pieces) == box_degrees(1, BOX)
+    without_zero = DifferentialForm(ring, (sum(terms[:BOX] + terms[BOX + 1:], ring.zero),))
+    for form, kept in ((full, {(0,): full.pieces[(0,)]}), (without_zero, {})):
+        cls = kaehler.reduce_form(form)
+        assert cls.pieces == reference_reduce_form(form) == kept
+        if kept:
+            assert cls.pieces[(0,)] is form.pieces[(0,)]
+    for degree in box_degrees(1, BOX):
+        for c in scalars:
+            form = DifferentialForm(ring, (ring.monomial((degree[0] - 1,), c),))
+            assert kaehler.reduce_form(form).pieces == reference_reduce_form(form)
+
+
 # -- the first second-loop draws of check_zrel ----------------------------------
 
 
@@ -275,6 +300,7 @@ def zrel_rings():
     for spec in SHIPPED:
         yield spec, Session(load_spec(str(ROOT / "specs" / f"{spec}.json"))).ring
     yield "q_zeta12", LaurentRing(CyclotomicField(12), (4, 3))
+    yield "q_zeta12_n1", LaurentRing(CyclotomicField(12), (4,))
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +308,7 @@ def draw_rings():
     return dict(zrel_rings())
 
 
-@pytest.mark.parametrize("name", SHIPPED + ["q_zeta12"])
+@pytest.mark.parametrize("name", SHIPPED + ["q_zeta12", "q_zeta12_n1"])
 def test_zrel_second_loop_arithmetic_equals_the_reference(name, draw_rings):
     ring = draw_rings[name]
     rng = random.Random(0)
